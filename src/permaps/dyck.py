@@ -26,6 +26,12 @@ label to pick the slot, and reads the permutation off the finished
 blocks.  Cycles of the permutation correspond to b0 steps,
 indecomposability to primitivity, and (for indecomposable inputs of
 size >= 2) left-to-right maxima to b1 steps.
+
+Both directions run in O(n log n).  The blocks share one flat slot
+array in creation order, so "cyclically from the pivot" is a cyclic
+range of positions; a Fenwick tree of free flags turns a label into a
+rank query (``delta``) or a select (``delta_inverse``), and the pivot
+comes from a queue of candidates that only moves forward.
 """
 
 from __future__ import annotations
@@ -159,91 +165,139 @@ def validate_labeling(lp: LabeledDyckPath) -> bool:
     return True
 
 
-class _SlotState:
-    """Cycle blocks under construction: fixed-length slot arrays.
+class _Slots:
+    """Cycle blocks laid out in one flat array of n slots.
 
-    Slot 0 of each block holds the cycle minimum; later slots hold the
-    orbit in order.  The pivot is the smallest placed element whose
-    successor slot inside its own block is free; free slots are ranked
-    1, 2, ... cyclically rightward from just after the pivot's slot
-    (through later blocks in creation order, wrapping to earlier ones).
+    Blocks sit in creation order: a block of k slots opens at the end of
+    the slots already opened, its slot 0 taken by the cycle minimum and
+    the rest reserved for the orbit in order.  Free slots are ranked 1,
+    2, ... cyclically rightward from just after the pivot's slot, which
+    in the flat array is the cyclic range over [0, opened) starting
+    there.
+
+    ``_tree`` is a Fenwick tree (Fenwick 1994) of free flags over the
+    array.  Slots not yet opened count as free; that is harmless, since
+    every query stays below ``_opened``.  A rank is a difference of two
+    prefix counts and a select is one descent of the tree, each
+    O(log n).
+
+    The pivot is the smallest placed element whose successor slot in its
+    own block is free.  Elements are placed in increasing order, so
+    pivot candidates join ``_cands`` in increasing order; a candidate
+    dies once its successor slot fills and never revives, so a head
+    that only moves forward finds the pivot in amortised O(1).  A whole
+    encoding or decoding therefore costs O(n log n).
     """
 
-    def __init__(self) -> None:
-        self.blocks: list[list[int | None]] = []
-        self.slot_of: dict[int, tuple[int, int]] = {}
+    def __init__(self, n: int) -> None:
+        self._n = n
+        self._tree = [i & -i for i in range(n + 1)]  # every slot free
+        self._elt = [0] * n  # element in each slot, 0 while free
+        self._last = bytearray(n)  # 1 at the last slot of each block
+        self._cands: list[int] = []  # slots of pivot candidates
+        self._head = 0
+        self._opened = 0
+        self._free = 0
 
-    def open_block(self, elt: int, k: int) -> int:
-        arr: list[int | None] = [None] * k
-        arr[0] = elt
-        self.blocks.append(arr)
-        idx = len(self.blocks) - 1
-        self.slot_of[elt] = (idx, 0)
-        return idx
+    def _count(self, i: int) -> int:
+        """Free slots among positions [0, i)."""
+        tree = self._tree
+        total = 0
+        while i:
+            total += tree[i]
+            i &= i - 1
+        return total
 
-    def place(self, elt: int, block: int, slot: int) -> None:
-        self.blocks[block][slot] = elt
-        self.slot_of[elt] = (block, slot)
+    def _pivot(self) -> int:
+        cands, elt = self._cands, self._elt
+        head = self._head
+        while elt[cands[head] + 1]:
+            head += 1
+        self._head = head
+        return cands[head]
 
-    def _pivot(self) -> tuple[int, int] | None:
-        best: tuple[int, int] | None = None
-        best_elt = None
-        for elt, (c, s) in self.slot_of.items():
-            arr = self.blocks[c]
-            if s + 1 < len(arr) and arr[s + 1] is None:
-                if best_elt is None or elt < best_elt:
-                    best_elt = elt
-                    best = (c, s)
-        return best
+    def place(self, element: int, pos: int) -> None:
+        """Put ``element`` into the free slot ``pos``."""
+        elt, tree = self._elt, self._tree
+        elt[pos] = element
+        self._free -= 1
+        i = pos + 1
+        while i <= self._n:
+            tree[i] -= 1
+            i += i & -i
+        if not self._last[pos] and not elt[pos + 1]:
+            self._cands.append(pos)
 
-    def free_slots(self) -> list[tuple[int, int]]:
-        """Free slots in pivot order; empty when every slot is taken."""
-        start = self._pivot()
-        if start is None:
-            return []
-        c0, s0 = start
-        seq = [(c0, s) for s in range(s0 + 1, len(self.blocks[c0]))]
-        for c in range(c0 + 1, len(self.blocks)):
-            seq.extend((c, s) for s in range(len(self.blocks[c])))
-        for c in range(c0):
-            seq.extend((c, s) for s in range(len(self.blocks[c])))
-        seq.extend((c0, s) for s in range(s0 + 1))
-        return [(c, s) for c, s in seq if self.blocks[c][s] is None]
+    def open_block(self, element: int, k: int) -> None:
+        """Open a block of k slots with ``element`` in its slot 0."""
+        start = self._opened
+        self._opened += k
+        self._free += k
+        self._last[start + k - 1] = 1
+        self.place(element, start)
+
+    def rank(self, pos: int) -> int:
+        """Cyclic rank of the free slot ``pos`` counted from the pivot."""
+        before = self._count(self._pivot() + 1)
+        upto = self._count(pos + 1)
+        return upto - before if upto > before else self._free - before + upto
+
+    def select(self, rank: int) -> int:
+        """The free slot whose cyclic rank from the pivot is ``rank``."""
+        if rank > self._free:
+            raise PlacementOutOfRange(f"label {rank} with only {self._free} free slots")
+        before = self._count(self._pivot() + 1)
+        after = self._free - before  # free slots right of the pivot
+        target = before + rank if rank <= after else rank - after
+        tree, n = self._tree, self._n
+        pos = 0
+        step = 1 << (n.bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt <= n and tree[nxt] < target:
+                pos = nxt
+                target -= tree[nxt]
+            step >>= 1
+        return pos
 
     def to_permutation(self) -> Permutation:
-        n = sum(len(arr) for arr in self.blocks)
-        img = [0] * (n + 1)
-        for arr in self.blocks:
-            for i, e in enumerate(arr):
-                assert e is not None
-                img[e] = arr[(i + 1) % len(arr)]  # type: ignore[assignment]
-        return Permutation(tuple(img[1:]))
+        """Read each finished block as a cycle; an unfilled slot leaves a
+        0 image, which ``Permutation`` rejects as ``NotABijection``."""
+        elt, last = self._elt, self._last
+        img = [0] * self._n
+        start = 0
+        for pos in range(self._n):
+            if last[pos]:
+                img[elt[pos] - 1] = elt[start]
+                start = pos + 1
+            else:
+                img[elt[pos] - 1] = elt[pos + 1]
+        return Permutation(tuple(img))
 
 
 def delta(p: Permutation) -> LabeledDyckPath:
     """Encode a permutation as a labeled path of length 2n (delta scheme)."""
-    orbit = cycles(p, canonical=False).cycles
-    block_len: dict[int, int] = {}
-    target: dict[int, tuple[int, int]] = {}
-    for c in orbit:
+    n = p.n
+    block_len = [0] * (n + 1)  # k at the minimum of each k-cycle
+    slot_of = [0] * (n + 1)
+    start = 0
+    # cycles come sorted by minimum, the order in which their blocks open
+    for c in cycles(p, canonical=False).cycles:
         block_len[c[0]] = len(c)
-        for t, e in enumerate(c):
-            target[e] = (c[0], t)
-    state = _SlotState()
-    block_of_min: dict[int, int] = {}
+        for t, e in enumerate(c, start):
+            slot_of[e] = t
+        start += len(c)
+    slots = _Slots(n)
     tokens: list[str] = []
-    for i in range(1, p.n + 1):
-        m, t = target[i]
-        if t == 0:
-            k = block_len[i]
-            block_of_min[i] = state.open_block(i, k)
+    for i in range(1, n + 1):
+        k = block_len[i]
+        if k:
             tokens.extend(["a"] * k)
             tokens.append("b0")
+            slots.open_block(i, k)
         else:
-            free = state.free_slots()
-            rank = free.index((block_of_min[m], t)) + 1
-            tokens.append(f"b{rank}")
-            state.place(i, block_of_min[m], t)
+            tokens.append(f"b{slots.rank(slot_of[i])}")
+            slots.place(i, slot_of[i])
     return LabeledDyckPath(tuple(tokens), DELTA)
 
 
@@ -255,7 +309,7 @@ def delta_inverse(lp: LabeledDyckPath) -> Permutation:
         raise InvalidLabeling("empty word encodes no permutation")
     if not validate_labeling(lp):
         raise InvalidLabeling(f"not a valid delta labeling: {format_labeled_path(lp)}")
-    state = _SlotState()
+    slots = _Slots(len(lp.word) // 2)
     element = 0
     run_a = 0
     for tok in lp.word:
@@ -265,17 +319,11 @@ def delta_inverse(lp: LabeledDyckPath) -> Permutation:
         element += 1
         lab = _label(tok)
         if lab == 0:
-            state.open_block(element, run_a)
+            slots.open_block(element, run_a)
         else:
-            free = state.free_slots()
-            if lab > len(free):
-                raise PlacementOutOfRange(
-                    f"label {lab} with only {len(free)} free slots"
-                )
-            c, s = free[lab - 1]
-            state.place(element, c, s)
+            slots.place(element, slots.select(lab))
         run_a = 0
-    return state.to_permutation()
+    return slots.to_permutation()
 
 
 def convert_label_scheme(lp: LabeledDyckPath) -> LabeledDyckPath:

@@ -34,9 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Decomposable, NotTransitive, ParseError, SizeMismatch, SizeTooSmall
+from .errors import (
+    Decomposable,
+    InternalMismatch,
+    NotTransitive,
+    ParseError,
+    SizeMismatch,
+    SizeTooSmall,
+)
 from .perm import (
-    CycleForm,
     Permutation,
     blocks,
     concat_blocks,
@@ -191,35 +197,40 @@ def canonical_rooted_form(h: PermPair) -> tuple[Hypermap, Permutation]:
     examined dart e of the written word and, if alpha^{-1}(e) lies on an
     unwritten vertex, prepend that vertex's cycle starting at
     alpha^{-1}(e).  phi is the word itself: phi(k) = k-th dart written.
+
+    The word is built reversed, so prepending is appending, and the
+    examined darts are always a prefix of the reversed word, so one
+    index replaces the search for the rightmost unexamined dart; the
+    scan is linear in n.
     """
     n = h.n
     orbit = cycles(h.sigma, canonical=False).cycles
-    cycle_of: dict[int, tuple[int, ...]] = {}
-    for c in orbit:
+    vertex = [0] * (n + 1)
+    for v, c in enumerate(orbit):
         for e in c:
-            cycle_of[e] = c
-    root = cycle_of[n]
-    cut = root.index(n) + 1
-    written = list(root[cut:] + root[:cut])
-    placed = set(written)
-    examined = [False] * (n + 1)
-    alpha_inv = inverse(h.alpha)
-    while len(written) < n:
-        for idx in range(len(written) - 1, -1, -1):
-            e = written[idx]
-            if not examined[e]:
-                break
-        else:
-            raise NotTransitive("scan exhausted before covering every dart")
-        examined[e] = True
-        u = alpha_inv(e)
-        if u not in placed:
-            c = cycle_of[u]
-            at = c.index(u)
-            rot = c[at:] + c[:at]
-            written[:0] = rot
-            placed.update(rot)
-    phi = Permutation(tuple(written))
+            vertex[e] = v
+    alpha_inv = [0] * (n + 1)
+    for e, a in enumerate(h.alpha.images, 1):
+        alpha_inv[a] = e
+    written = bytearray(len(orbit))
+    rev: list[int] = []  # the written word, last dart first
+
+    def write(u: int) -> None:
+        v = vertex[u]
+        written[v] = 1
+        c = orbit[v]
+        t = c.index(u)
+        rev.extend(reversed(c[t:] + c[:t]))
+
+    write(h.sigma(n))
+    # the loop's own index walks the examined prefix while writes append
+    for e in rev:
+        u = alpha_inv[e]
+        if not written[vertex[u]]:
+            write(u)
+    if len(rev) < n:
+        raise NotTransitive("scan exhausted before covering every dart")
+    phi = Permutation(tuple(reversed(rev)))
     return Hypermap(conjugate(h.sigma, phi), conjugate(h.alpha, phi)), phi
 
 
@@ -232,7 +243,8 @@ def psi_inverse(h: PermPair) -> Permutation:
     """
     can, _ = canonical_rooted_form(h)
     endpoints = _interval_endpoints(can.sigma)
-    assert endpoints is not None
+    if endpoints is None:
+        raise InternalMismatch("canonical form has a vertex that is not an interval")
     ik = endpoints[-1]
     a = can.alpha.images
     n = can.n
@@ -268,15 +280,11 @@ def phi_bijection(p: Permutation) -> Permutation:
     return concat_blocks(out)
 
 
-def _orbit_form(p: Permutation) -> CycleForm:
-    return cycles(p, canonical=False)
-
-
 def hypermap_to_text(h: PermPair) -> str:
     """Render as ``sigma=<cycles>;alpha=<cycles>`` with min-first cycles."""
     return (
-        f"sigma={format_cycles(_orbit_form(h.sigma))}"
-        f";alpha={format_cycles(_orbit_form(h.alpha))}"
+        f"sigma={format_cycles(cycles(h.sigma, canonical=False))}"
+        f";alpha={format_cycles(cycles(h.alpha, canonical=False))}"
     )
 
 
@@ -296,8 +304,8 @@ def hypermap_to_json_dict(h: PermPair) -> dict:
     """JSON-ready dict with min-first cycle lists for both permutations."""
     return {
         "n": h.n,
-        "sigma": [list(c) for c in _orbit_form(h.sigma).cycles],
-        "alpha": [list(c) for c in _orbit_form(h.alpha).cycles],
+        "sigma": [list(c) for c in cycles(h.sigma, canonical=False).cycles],
+        "alpha": [list(c) for c in cycles(h.alpha, canonical=False).cycles],
     }
 
 

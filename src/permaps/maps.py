@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .enumpoly import M_family, i_count
-from .errors import Decomposable, NotFpf, SizeTooSmall
+from .errors import Decomposable, InternalMismatch, NotFpf, SizeTooSmall
 from .hypermap import (
     Hypermap,
     _interval_endpoints,
@@ -104,7 +104,8 @@ def psi_prime_inverse(m: Hypermap) -> Permutation:
         raise NotFpf("alpha must be a fixed-point-free involution")
     can, _ = canonical_rooted_form(m)
     endpoints = _interval_endpoints(can.sigma)
-    assert endpoints is not None
+    if endpoints is None:
+        raise InternalMismatch("canonical form has a vertex that is not an interval")
     j = endpoints[-1]
     n1 = can.n + 1
     sigma_images = [0] * (n1 + 1)
@@ -126,7 +127,7 @@ def psi_prime_inverse(m: Hypermap) -> Permutation:
         Hypermap(Permutation(tuple(sigma_images[1:])), Permutation(tuple(alpha_images[1:])))
     )
     if not is_fpf_involution(theta):
-        raise AssertionError("reinsertion lost the pairing structure")
+        raise InternalMismatch("reinsertion lost the pairing structure")
     return theta
 
 

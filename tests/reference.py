@@ -1,0 +1,173 @@
+"""Straightforward reference forms of the slot bijection and the
+canonical scan, for tests to compare the fast library versions against.
+
+They rebuild the free-slot list, search for the pivot and rescan the
+written word at every step, so they are quadratic or worse.  They live
+with the tests rather than in the package so that ``import permaps``
+does not load code only tests run.
+"""
+
+from __future__ import annotations
+
+from permaps.dyck import DELTA, LabeledDyckPath, format_labeled_path, validate_labeling
+from permaps.errors import (
+    InternalMismatch,
+    InvalidLabeling,
+    NotTransitive,
+    PlacementOutOfRange,
+)
+from permaps.hypermap import Hypermap, PermPair
+from permaps.perm import Permutation, conjugate, cycles, inverse
+
+
+class _ReferenceSlots:
+    """Cycle blocks under construction as one list of slots per block.
+
+    The pivot is the smallest placed element whose successor slot inside
+    its own block is free; free slots are listed cyclically rightward
+    from just after the pivot's slot (through later blocks in creation
+    order, wrapping to earlier ones).
+    """
+
+    def __init__(self) -> None:
+        self.blocks: list[list[int | None]] = []
+        self.slot_of: dict[int, tuple[int, int]] = {}
+
+    def open_block(self, elt: int, k: int) -> int:
+        arr: list[int | None] = [None] * k
+        arr[0] = elt
+        self.blocks.append(arr)
+        idx = len(self.blocks) - 1
+        self.slot_of[elt] = (idx, 0)
+        return idx
+
+    def place(self, elt: int, block: int, slot: int) -> None:
+        self.blocks[block][slot] = elt
+        self.slot_of[elt] = (block, slot)
+
+    def _pivot(self) -> tuple[int, int] | None:
+        best: tuple[int, int] | None = None
+        best_elt = None
+        for elt, (c, s) in self.slot_of.items():
+            arr = self.blocks[c]
+            if s + 1 < len(arr) and arr[s + 1] is None:
+                if best_elt is None or elt < best_elt:
+                    best_elt = elt
+                    best = (c, s)
+        return best
+
+    def free_slots(self) -> list[tuple[int, int]]:
+        """Free slots in pivot order; empty when every slot is taken."""
+        start = self._pivot()
+        if start is None:
+            return []
+        c0, s0 = start
+        seq = [(c0, s) for s in range(s0 + 1, len(self.blocks[c0]))]
+        for c in range(c0 + 1, len(self.blocks)):
+            seq.extend((c, s) for s in range(len(self.blocks[c])))
+        for c in range(c0):
+            seq.extend((c, s) for s in range(len(self.blocks[c])))
+        seq.extend((c0, s) for s in range(s0 + 1))
+        return [(c, s) for c, s in seq if self.blocks[c][s] is None]
+
+    def to_permutation(self) -> Permutation:
+        n = sum(len(arr) for arr in self.blocks)
+        img = [0] * (n + 1)
+        for arr in self.blocks:
+            for i, e in enumerate(arr):
+                if e is None:
+                    raise InternalMismatch("a block slot was never filled")
+                img[e] = arr[(i + 1) % len(arr)]  # type: ignore[assignment]
+        return Permutation(tuple(img[1:]))
+
+
+def reference_delta(p: Permutation) -> LabeledDyckPath:
+    """``dyck.delta`` computed by listing the free slots at every step."""
+    orbit = cycles(p, canonical=False).cycles
+    block_len: dict[int, int] = {}
+    target: dict[int, tuple[int, int]] = {}
+    for c in orbit:
+        block_len[c[0]] = len(c)
+        for t, e in enumerate(c):
+            target[e] = (c[0], t)
+    state = _ReferenceSlots()
+    block_of_min: dict[int, int] = {}
+    tokens: list[str] = []
+    for i in range(1, p.n + 1):
+        m, t = target[i]
+        if t == 0:
+            k = block_len[i]
+            block_of_min[i] = state.open_block(i, k)
+            tokens.extend(["a"] * k)
+            tokens.append("b0")
+        else:
+            free = state.free_slots()
+            rank = free.index((block_of_min[m], t)) + 1
+            tokens.append(f"b{rank}")
+            state.place(i, block_of_min[m], t)
+    return LabeledDyckPath(tuple(tokens), DELTA)
+
+
+def reference_delta_inverse(lp: LabeledDyckPath) -> Permutation:
+    """``dyck.delta_inverse`` computed by listing the free slots at every step."""
+    if lp.scheme != DELTA:
+        raise InvalidLabeling(f"expected scheme {DELTA!r}, got {lp.scheme!r}")
+    if not lp.word:
+        raise InvalidLabeling("empty word encodes no permutation")
+    if not validate_labeling(lp):
+        raise InvalidLabeling(f"not a valid delta labeling: {format_labeled_path(lp)}")
+    state = _ReferenceSlots()
+    element = 0
+    run_a = 0
+    for tok in lp.word:
+        if tok == "a":
+            run_a += 1
+            continue
+        element += 1
+        lab = int(tok[1:])
+        if lab == 0:
+            state.open_block(element, run_a)
+        else:
+            free = state.free_slots()
+            if lab > len(free):
+                raise PlacementOutOfRange(
+                    f"label {lab} with only {len(free)} free slots"
+                )
+            c, s = free[lab - 1]
+            state.place(element, c, s)
+        run_a = 0
+    return state.to_permutation()
+
+
+def reference_canonical_rooted_form(h: PermPair) -> tuple[Hypermap, Permutation]:
+    """``hypermap.canonical_rooted_form`` computed by prepending each new
+    vertex to the written word and rescanning it from the right."""
+    n = h.n
+    orbit = cycles(h.sigma, canonical=False).cycles
+    cycle_of: dict[int, tuple[int, ...]] = {}
+    for c in orbit:
+        for e in c:
+            cycle_of[e] = c
+    root = cycle_of[n]
+    cut = root.index(n) + 1
+    written = list(root[cut:] + root[:cut])
+    placed = set(written)
+    examined = [False] * (n + 1)
+    alpha_inv = inverse(h.alpha)
+    while len(written) < n:
+        for idx in range(len(written) - 1, -1, -1):
+            e = written[idx]
+            if not examined[e]:
+                break
+        else:
+            raise NotTransitive("scan exhausted before covering every dart")
+        examined[e] = True
+        u = alpha_inv(e)
+        if u not in placed:
+            c = cycle_of[u]
+            at = c.index(u)
+            rot = c[at:] + c[:at]
+            written[:0] = rot
+            placed.update(rot)
+    phi = Permutation(tuple(written))
+    return Hypermap(conjugate(h.sigma, phi), conjugate(h.alpha, phi)), phi

@@ -1,0 +1,124 @@
+"""The slot bijection and the canonical scan at sizes far beyond the
+exhaustive sweeps: property tests against the reference forms in
+``reference.py``, and a round trip at n = 10^5."""
+
+import itertools
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from permaps.dyck import delta, delta_inverse
+from permaps.errors import NotTransitive
+from permaps.hypermap import PermPair, canonical_rooted_form, is_transitive
+from permaps.perm import Permutation, conjugate
+from reference import (
+    reference_canonical_rooted_form,
+    reference_delta,
+    reference_delta_inverse,
+)
+
+# derandomized, so every run draws the same examples
+bounded = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+# a seeded generator, not hypothesis' own randoms, which draw every swap
+# from hypothesis' bounded example buffer
+seeds = st.integers(0, 2**32).map(random.Random)
+
+
+def random_perm(rng, n):
+    """Anything from the identity (n blocks) to a near-uniform shuffle
+    (a few long cycles), depending on how many swaps are drawn."""
+    images = list(range(1, n + 1))
+    for _ in range(rng.randint(0, n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        images[i], images[j] = images[j], images[i]
+    return Permutation(tuple(images))
+
+
+def test_delta_matches_reference_exhaustive():
+    for n in range(1, 8):
+        for images in itertools.permutations(range(1, n + 1)):
+            p = Permutation(images)
+            w = delta(p)
+            assert w == reference_delta(p)
+            assert delta_inverse(w) == reference_delta_inverse(w) == p
+
+
+@bounded
+@given(st.integers(1, 2000), seeds)
+def test_delta_matches_reference(n, rng):
+    p = random_perm(rng, n)
+    w = delta(p)
+    assert w == reference_delta(p)
+    assert delta_inverse(w) == reference_delta_inverse(w) == p
+
+
+def random_hypermap(rng, n):
+    """A random pair made transitive: swapping alpha's images at darts of
+    two different components joins them."""
+    sigma, alpha = random_perm(rng, n), list(random_perm(rng, n).images)
+    component = [0] * (n + 1)
+    roots = []
+    for start in range(1, n + 1):
+        if component[start]:
+            continue
+        roots.append(start)
+        component[start] = start
+        stack = [start]
+        while stack:
+            e = stack.pop()
+            for f in (sigma(e), alpha[e - 1]):
+                if not component[f]:
+                    component[f] = start
+                    stack.append(f)
+    for r in roots[1:]:
+        alpha[0], alpha[r - 1] = alpha[r - 1], alpha[0]
+    return PermPair(sigma, Permutation(tuple(alpha)))
+
+
+def canonical_or_error(canon, h):
+    try:
+        can, phi = canon(h)
+    except NotTransitive:
+        return None
+    return can.sigma.images, can.alpha.images, phi.images
+
+
+def test_canonical_matches_reference_exhaustive():
+    for n in range(1, 6):
+        perms = [Permutation(im) for im in itertools.permutations(range(1, n + 1))]
+        for s, a in itertools.product(perms, repeat=2):
+            h = PermPair(s, a)
+            assert canonical_or_error(canonical_rooted_form, h) == canonical_or_error(
+                reference_canonical_rooted_form, h
+            )
+
+
+@bounded
+@given(st.integers(1, 2000), seeds)
+def test_canonical_matches_reference(n, rng):
+    h = random_hypermap(rng, n)
+    assert canonical_or_error(canonical_rooted_form, h) == canonical_or_error(
+        reference_canonical_rooted_form, h
+    )
+
+
+@bounded
+@given(st.integers(1, 2000), seeds)
+def test_canonical_invariant_under_root_fixing_relabeling(n, rng):
+    h = random_hypermap(rng, n)
+    assert is_transitive(h)
+    images = list(range(1, n))
+    rng.shuffle(images)
+    phi = Permutation(tuple(images) + (n,))
+    moved = PermPair(conjugate(h.sigma, phi), conjugate(h.alpha, phi))
+    assert canonical_rooted_form(moved)[0] == canonical_rooted_form(h)[0]
+
+
+@settings(max_examples=1, deadline=None, derandomize=True, database=None)
+@given(seeds)
+def test_delta_round_trip_at_100000(rng):
+    images = list(range(1, 100_001))
+    rng.shuffle(images)
+    p = Permutation(tuple(images))
+    assert delta_inverse(delta(p)) == p

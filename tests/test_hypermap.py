@@ -5,8 +5,10 @@ import itertools
 
 import pytest
 
+import permaps.hypermap
 from permaps.errors import (
     Decomposable,
+    InternalMismatch,
     NotTransitive,
     ParseError,
     SizeMismatch,
@@ -214,6 +216,19 @@ def test_psi_inverse_trace():
 
 def test_psi_inverse_one_dart():
     assert psi_inverse(Hypermap(identity(1), identity(1))).images == (2, 1)
+
+
+def test_psi_inverse_rejects_a_non_canonical_form(monkeypatch):
+    # with canonicalization reduced to the identity relabeling, a vertex
+    # that is no interval must surface as a declared error, under -O too
+    monkeypatch.setattr(
+        permaps.hypermap,
+        "canonical_rooted_form",
+        lambda h: (Hypermap(h.sigma, h.alpha), identity(h.n)),
+    )
+    h = Hypermap(parse_permutation("(1,3)(2)", "cycle"), parse_permutation("(1,2)(3)", "cycle"))
+    with pytest.raises(InternalMismatch):
+        psi_inverse(h)
 
 
 def test_psi_round_trip_exhaustive():

@@ -4,9 +4,10 @@ from collections import Counter
 
 import pytest
 
+import permaps.maps
 from permaps.dyck import delta
 from permaps.enumpoly import M_family
-from permaps.errors import Decomposable, NotFpf, NotTransitive, SizeTooSmall
+from permaps.errors import Decomposable, InternalMismatch, NotFpf, NotTransitive, SizeTooSmall
 from permaps.hypermap import Hypermap, hypermap_to_text, rooted_isomorphic
 from permaps.maps import (
     RootedMap,
@@ -119,6 +120,24 @@ def test_psi_prime_inverse_accepts_any_labeling():
     assert psi_prime_inverse(relabeled) == theta
     with pytest.raises(NotFpf):
         psi_prime_inverse(Hypermap(parse_permutation("(1,2,3)", "cycle"), identity(3)))
+
+
+def test_psi_prime_inverse_declares_internal_faults(monkeypatch):
+    m = Hypermap(parse_permutation("(1,3)(2,4)", "cycle"), parse_permutation("(1,2)(3,4)", "cycle"))
+    with monkeypatch.context() as mp:
+        # a form whose vertices are not intervals
+        mp.setattr(
+            permaps.maps,
+            "canonical_rooted_form",
+            lambda h: (Hypermap(h.sigma, h.alpha), identity(h.n)),
+        )
+        with pytest.raises(InternalMismatch):
+            psi_prime_inverse(m)
+    with monkeypatch.context() as mp:
+        # a reinsertion that loses the pairing
+        mp.setattr(permaps.maps, "psi_inverse", lambda h: identity(h.n + 1))
+        with pytest.raises(InternalMismatch):
+            psi_prime_inverse(m)
 
 
 def test_vertex_census_matches_M_prime():
