@@ -3,189 +3,23 @@ and labeled Dyck paths: counting sequences and polynomial families with
 integer/rational arithmetic throughout, the size-preserving bijections
 tying the three families together, and an exhaustive small-size
 verification suite.
+
+The namespace is ``__version__`` plus every submodule's ``__all__``.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    Decomposable,
-    EmptyInput,
-    InternalMismatch,
-    InvalidLabeling,
-    InvalidPath,
-    LimitExceeded,
-    NotABijection,
-    NotFpf,
-    NotTransitive,
-    ParseError,
-    PermapsError,
-    PlacementOutOfRange,
-    SizeMismatch,
-    SizeTooSmall,
-)
-from .perm import (
-    CycleForm,
-    Permutation,
-    blocks,
-    compose,
-    concat_blocks,
-    conjugate,
-    cycles,
-    format_cycles,
-    format_permutation,
-    from_cycles,
-    fundamental_transform,
-    fundamental_transform_inverse,
-    identity,
-    inverse,
-    is_indecomposable,
-    lr_maxima,
-    parse_permutation,
-    rl_minima,
-)
-from .hypermap import (
-    Hypermap,
-    PermPair,
-    canonical_rooted_form,
-    hypermap_from_text,
-    hypermap_to_text,
-    is_transitive,
-    make_hypermap,
-    phi_bijection,
-    psi,
-    psi_inverse,
-    rooted_isomorphic,
-    satisfies_lemma1,
-)
-from .dyck import (
-    LabeledDyckPath,
-    convert_label_scheme,
-    count_labelings,
-    delta,
-    delta_inverse,
-    enum_dyck_paths,
-    enum_labelings,
-    format_labeled_path,
-    is_primitive,
-    parse_labeled_path,
-    validate_dyck,
-    validate_labeling,
-)
-from .enumpoly import (
-    BivariatePoly,
-    L_family,
-    M_family,
-    SeriesInZ,
-    arques_beraud_check,
-    c_count,
-    c_count_by_cycles,
-    c_poly,
-    double_factorial_odd,
-    i_count,
-    joint_perm_poly,
-    stirling_number,
-    stirling_poly,
-    transitive_probability,
-)
-from .maps import (
-    RootedMap,
-    is_fpf_involution,
-    map_count,
-    map_count_by_vertices,
-    psi_prime,
-    psi_prime_inverse,
-)
-from .oracle import (
-    count_transitive_pairs,
-    enum_fpf_involutions,
-    enum_permutations,
-    hypermap_census,
-    joint_distribution,
-    verify_suite,
-)
+from . import dyck, enumpoly, errors, hypermap, maps, oracle, perm
+from .errors import *  # noqa: F401,F403
+from .perm import *  # noqa: F401,F403
+from .hypermap import *  # noqa: F401,F403
+from .dyck import *  # noqa: F401,F403
+from .enumpoly import *  # noqa: F401,F403
+from .maps import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "PermapsError",
-    "ParseError",
-    "NotABijection",
-    "SizeMismatch",
-    "EmptyInput",
-    "NotTransitive",
-    "Decomposable",
-    "SizeTooSmall",
-    "NotFpf",
-    "InvalidPath",
-    "InvalidLabeling",
-    "PlacementOutOfRange",
-    "InternalMismatch",
-    "LimitExceeded",
-    "Permutation",
-    "CycleForm",
-    "identity",
-    "parse_permutation",
-    "format_permutation",
-    "format_cycles",
-    "compose",
-    "inverse",
-    "cycles",
-    "from_cycles",
-    "lr_maxima",
-    "rl_minima",
-    "is_indecomposable",
-    "blocks",
-    "concat_blocks",
-    "fundamental_transform",
-    "fundamental_transform_inverse",
-    "conjugate",
-    "Hypermap",
-    "PermPair",
-    "is_transitive",
-    "make_hypermap",
-    "psi",
-    "psi_inverse",
-    "satisfies_lemma1",
-    "canonical_rooted_form",
-    "rooted_isomorphic",
-    "phi_bijection",
-    "hypermap_to_text",
-    "hypermap_from_text",
-    "LabeledDyckPath",
-    "validate_dyck",
-    "validate_labeling",
-    "is_primitive",
-    "delta",
-    "delta_inverse",
-    "convert_label_scheme",
-    "enum_dyck_paths",
-    "enum_labelings",
-    "count_labelings",
-    "parse_labeled_path",
-    "format_labeled_path",
-    "BivariatePoly",
-    "SeriesInZ",
-    "stirling_poly",
-    "stirling_number",
-    "c_count",
-    "c_count_by_cycles",
-    "c_poly",
-    "double_factorial_odd",
-    "i_count",
-    "L_family",
-    "M_family",
-    "joint_perm_poly",
-    "transitive_probability",
-    "arques_beraud_check",
-    "RootedMap",
-    "is_fpf_involution",
-    "psi_prime",
-    "psi_prime_inverse",
-    "map_count",
-    "map_count_by_vertices",
-    "enum_permutations",
-    "enum_fpf_involutions",
-    "joint_distribution",
-    "count_transitive_pairs",
-    "hypermap_census",
-    "verify_suite",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, perm, hypermap, dyck, enumpoly, maps, oracle)
+    for name in module.__all__
 ]

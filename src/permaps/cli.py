@@ -27,10 +27,9 @@ from .enumpoly import (
 )
 from .errors import LimitExceeded, PermapsError
 from .hypermap import (
-    PermPair,
+    Hypermap,
     hypermap_to_json_dict,
     hypermap_to_text,
-    make_hypermap,
     phi_bijection,
     psi,
     psi_inverse,
@@ -47,15 +46,42 @@ from .perm import (
 __all__ = ["dispatch", "main"]
 
 _SIZE_LIMIT = 64  # exact arithmetic stays fast; larger requests are refused
+_NO_CSV = ("plain", "json")
 
 
-def _check_size(name: str, value: int, bound: int = _SIZE_LIMIT) -> None:
-    if value > bound:
-        raise LimitExceeded(f"{name} = {value} exceeds the supported bound {bound}")
+def _check_size(name: str, value: int) -> None:
+    if value > _SIZE_LIMIT:
+        raise LimitExceeded(f"{name} = {value} exceeds the supported bound {_SIZE_LIMIT}")
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj))
+def _emit(args, plain, obj, rows=None) -> int:
+    """Print the form of a result that ``--format`` asks for, the only
+    code that branches on it.  ``plain`` (the text), ``obj`` (the JSON
+    value) and ``rows`` (the CSV rows, header first) are callables, and
+    only the requested one is called."""
+    if args.format == "plain":
+        print(plain())
+    elif args.format == "json":
+        print(json.dumps(obj()))
+    else:
+        for row in rows():
+            print(",".join(map(str, row)))
+    return 0
+
+
+def _count(args, kind: str, value: int, params: dict, json_only: dict | None = None) -> int:
+    """One exact count: the value, ``{"kind", "params", "value"}``, or a
+    CSV row of the params then the value (``json_only`` params: JSON only)."""
+    return _emit(
+        args,
+        lambda: value,
+        lambda: {"kind": kind, "params": {**params, **(json_only or {})}, "value": value},
+        lambda: [(*params, "value"), (*params.values(), value)],
+    )
+
+
+# Outside the bijection table, handlers look library functions up as module
+# globals when they run, so replacing permaps.cli.<name> sees every call.
 
 
 # --- count -------------------------------------------------------------------
@@ -63,15 +89,7 @@ def _print_json(obj) -> None:
 
 def _cmd_count_indecomposable(args) -> int:
     _check_size("n", args.n)
-    value = c_count(args.n)
-    if args.format == "plain":
-        print(value)
-    elif args.format == "json":
-        _print_json({"kind": "indecomposable", "params": {"n": args.n}, "value": value})
-    else:
-        print("n,value")
-        print(f"{args.n},{value}")
-    return 0
+    return _count(args, "indecomposable", c_count(args.n), {"n": args.n})
 
 
 def _cmd_count_hypermaps(args) -> int:
@@ -83,52 +101,18 @@ def _cmd_count_hypermaps(args) -> int:
     if args.labeled:
         value *= math.factorial(args.n - 1)
         kind = "hypermaps-labeled"
-    if args.format == "plain":
-        print(value)
-    elif args.format == "json":
-        _print_json(
-            {
-                "kind": kind,
-                "params": {"n": args.n, "labeled": bool(args.labeled)},
-                "value": value,
-            }
-        )
-    else:
-        print("n,value")
-        print(f"{args.n},{value}")
-    return 0
+    return _count(args, kind, value, {"n": args.n}, {"labeled": args.labeled})
 
 
 def _cmd_count_maps(args) -> int:
     _check_size("m", args.m)
-    value = map_count(args.m)
-    if args.format == "plain":
-        print(value)
-    elif args.format == "json":
-        _print_json({"kind": "maps", "params": {"m": args.m}, "value": value})
-    else:
-        print("m,value")
-        print(f"{args.m},{value}")
-    return 0
+    return _count(args, "maps", map_count(args.m), {"m": args.m})
 
 
 def _cmd_count_stirling(args) -> int:
     _check_size("n", args.n)
     value = c_count_by_cycles(args.n, args.k)
-    if args.format == "plain":
-        print(value)
-    elif args.format == "json":
-        _print_json(
-            {
-                "kind": "stirling-indec",
-                "params": {"n": args.n, "k": args.k},
-                "value": value,
-            }
-        )
-    else:
-        print("n,k,value")
-        print(f"{args.n},{args.k},{value}")
-    return 0
+    return _count(args, "stirling-indec", value, {"n": args.n, "k": args.k})
 
 
 # --- table -------------------------------------------------------------------
@@ -142,17 +126,13 @@ def _cmd_table_stirling(args) -> int:
         (n, [c_count_by_cycles(n, k) for k in range(1, n)])
         for n in range(2, args.max_n + 1)
     ]
-    if args.format == "plain":
-        for n, row in rows:
-            print(f"{n}: " + " ".join(str(v) for v in row))
-    elif args.format == "json":
-        _print_json([{"n": n, "row": row} for n, row in rows])
-    else:
-        print("n,k,value")
-        for n, row in rows:
-            for k, v in enumerate(row, start=1):
-                print(f"{n},{k},{v}")
-    return 0
+    return _emit(
+        args,
+        lambda: "\n".join(f"{n}: " + " ".join(map(str, row)) for n, row in rows),
+        lambda: [{"n": n, "row": row} for n, row in rows],
+        lambda: [("n", "k", "value")]
+        + [(n, k, v) for n, row in rows for k, v in enumerate(row, start=1)],
+    )
 
 
 def _cmd_table_joint(args) -> int:
@@ -160,29 +140,15 @@ def _cmd_table_joint(args) -> int:
     if args.max_n < 1:
         raise ValueError("need max-n >= 1")
     polys = [(n, joint_perm_poly(n)) for n in range(1, args.max_n + 1)]
-    if args.format == "plain":
-        for n, poly in polys:
-            print(f"{n}: {poly.to_string()}")
-    elif args.format == "json":
-        _print_json([{"n": n, "poly": poly.to_json_obj()} for n, poly in polys])
-    else:
-        print("n,x,y,c")
-        for n, poly in polys:
-            for px, py, coeff in poly.terms():
-                print(f"{n},{px},{py},{coeff}")
-    return 0
+    return _emit(
+        args,
+        lambda: "\n".join(f"{n}: {poly.to_string()}" for n, poly in polys),
+        lambda: [{"n": n, "poly": poly.to_json_obj()} for n, poly in polys],
+        lambda: [("n", "x", "y", "c")] + [(n, *t) for n, poly in polys for t in poly.terms()],
+    )
 
 
 # --- bij ---------------------------------------------------------------------
-
-
-def _cmd_bij_omr(args) -> int:
-    h = psi(parse_permutation(args.perm))
-    if args.format == "plain":
-        print(hypermap_to_text(h))
-    else:
-        _print_json(hypermap_to_json_dict(h))
-    return 0
 
 
 def _parse_perm_arg(text: str):
@@ -191,96 +157,52 @@ def _parse_perm_arg(text: str):
     return parse_permutation(text, notation=notation)
 
 
-def _cmd_bij_omr_inv(args) -> int:
-    sigma = _parse_perm_arg(args.sigma)
-    alpha = _parse_perm_arg(args.alpha)
-    theta = psi_inverse(make_hypermap(PermPair(sigma, alpha)))
-    if args.format == "plain":
-        print(format_permutation(theta))
-    else:
-        _print_json({"perm": list(theta.images)})
-    return 0
+_PERM_IN = {"perm": parse_permutation}
+_PERM_OUT = (format_permutation, lambda p: {"perm": list(p.images)})
+
+# subcommand: (parser of each input option, bijection, plain and JSON renderers)
+_BIJECTIONS = {
+    "omr": (_PERM_IN, psi, (hypermap_to_text, hypermap_to_json_dict)),
+    "omr-inv": (
+        {"sigma": _parse_perm_arg, "alpha": _parse_perm_arg},
+        lambda sigma, alpha: psi_inverse(Hypermap(sigma, alpha)),
+        _PERM_OUT,
+    ),
+    "fft": (_PERM_IN, fundamental_transform, _PERM_OUT),
+    "fft-inv": (_PERM_IN, fundamental_transform_inverse, _PERM_OUT),
+    "delta": (_PERM_IN, delta, (format_labeled_path, lambda lp: {"path": list(lp.word)})),
+    "delta-inv": ({"path": parse_labeled_path}, delta_inverse, _PERM_OUT),
+    "phi": (_PERM_IN, phi_bijection, _PERM_OUT),
+    "psi-prime": (_PERM_IN, psi_prime, (hypermap_to_text, map_to_json_dict)),
+}
 
 
-def _perm_to_perm(args, fn) -> int:
-    q = fn(parse_permutation(args.perm))
-    if args.format == "plain":
-        print(format_permutation(q))
-    else:
-        _print_json({"perm": list(q.images)})
-    return 0
-
-
-def _cmd_bij_fft(args) -> int:
-    return _perm_to_perm(args, fundamental_transform)
-
-
-def _cmd_bij_fft_inv(args) -> int:
-    return _perm_to_perm(args, fundamental_transform_inverse)
-
-
-def _cmd_bij_phi(args) -> int:
-    return _perm_to_perm(args, phi_bijection)
-
-
-def _cmd_bij_delta(args) -> int:
-    lp = delta(parse_permutation(args.perm))
-    if args.format == "plain":
-        print(format_labeled_path(lp))
-    else:
-        _print_json({"path": list(lp.word)})
-    return 0
-
-
-def _cmd_bij_delta_inv(args) -> int:
-    p = delta_inverse(parse_labeled_path(args.path))
-    if args.format == "plain":
-        print(format_permutation(p))
-    else:
-        _print_json({"perm": list(p.images)})
-    return 0
-
-
-def _cmd_bij_psi_prime(args) -> int:
-    m = psi_prime(parse_permutation(args.perm))
-    if args.format == "plain":
-        print(hypermap_to_text(m))
-    else:
-        _print_json(map_to_json_dict(m))
-    return 0
+def _cmd_bij(args) -> int:
+    inputs, bijection, (plain, to_json) = _BIJECTIONS[args.what]
+    result = bijection(*(parse(getattr(args, name)) for name, parse in inputs.items()))
+    return _emit(args, lambda: plain(result), lambda: to_json(result))
 
 
 # --- poly --------------------------------------------------------------------
 
 
-def _poly_for(args):
-    which = args.which
-    if which == "A":
-        _check_size("n", args.n)
-        return stirling_poly(args.n), {"n": args.n}
-    if which == "C":
-        _check_size("n", args.n)
-        return c_poly(args.n), {"n": args.n}
-    if which in ("L", "Lprime"):
-        _check_size("n", args.n)
-        pair = L_family(args.n)
-        return pair[0] if which == "L" else pair[1], {"n": args.n}
-    _check_size("m", args.m)
-    pair = M_family(args.m)
-    return pair[0] if which == "M" else pair[1], {"m": args.m}
-
-
 def _cmd_poly(args) -> int:
-    poly, params = _poly_for(args)
-    if args.format == "plain":
-        print(poly.to_string())
-    elif args.format == "json":
-        _print_json({"kind": args.which, **params, "poly": poly.to_json_obj()})
+    if args.which in ("M", "Mprime"):
+        _check_size("m", args.m)
+        poly, params = M_family(args.m)[1 if args.which == "Mprime" else 0], {"m": args.m}
     else:
-        print("x,y,c")
-        for px, py, coeff in poly.terms():
-            print(f"{px},{py},{coeff}")
-    return 0
+        _check_size("n", args.n)
+        params = {"n": args.n}
+        if args.which in ("L", "Lprime"):
+            poly = L_family(args.n)[1 if args.which == "Lprime" else 0]
+        else:
+            poly = (stirling_poly if args.which == "A" else c_poly)(args.n)
+    return _emit(
+        args,
+        poly.to_string,
+        lambda: {"kind": args.which, **params, "poly": poly.to_json_obj()},
+        lambda: [("x", "y", "c"), *poly.terms()],
+    )
 
 
 # --- prob / verify -----------------------------------------------------------
@@ -289,34 +211,34 @@ def _cmd_poly(args) -> int:
 def _cmd_prob_transitive(args) -> int:
     _check_size("n", args.n)
     value = transitive_probability(args.n)
-    if args.format == "plain":
-        print(value)
-    else:
-        _print_json(
-            {"kind": "transitive-probability", "n": args.n, "value": str(value)}
-        )
-    return 0
+    return _emit(
+        args,
+        lambda: value,
+        lambda: {"kind": "transitive-probability", "n": args.n, "value": str(value)},
+    )
 
 
 def _cmd_verify(args) -> int:
-    report = verify_suite(
-        max_n=args.max_n,
-        pair_max_n=args.pair_max_n,
-        fpf_max_size=args.fpf_max_size,
-        fault=args.inject_fault,
-    )
-    if args.format == "plain":
-        print(report.to_text())
-    else:
-        _print_json(report.to_json_obj())
+    report = verify_suite(args.max_n, args.pair_max_n, args.fpf_max_size, args.inject_fault)
+    _emit(args, report.to_text, report.to_json_obj)
     return 0 if report.passed else 1
 
 
 # --- parser ------------------------------------------------------------------
 
 
-def _add_format(p: argparse.ArgumentParser, choices=("plain", "json", "csv")) -> None:
-    p.add_argument("--format", choices=choices, default="plain")
+_SIZE_ARG = {"type": int, "required": True}  # a required --n, --m, --k or --max-n
+
+
+def _command(sub, name: str, handler, options: dict, formats=("plain", "json", "csv"), **kwargs):
+    """Add subcommand ``name`` with ``--<option>`` per entry of ``options``
+    (its add_argument keywords), then ``--format``; ``kwargs`` (a help
+    line) go to ``add_parser``."""
+    p = sub.add_parser(name, **kwargs)
+    for option, spec in options.items():
+        p.add_argument(f"--{option}", **spec)
+    p.add_argument("--format", choices=formats, default="plain")
+    p.set_defaults(handler=handler)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -329,95 +251,67 @@ def _build_parser() -> argparse.ArgumentParser:
 
     count = sub.add_parser("count", help="single exact counts")
     count_sub = count.add_subparsers(dest="what", required=True)
-    p = count_sub.add_parser("indecomposable", help="indecomposable permutations of S_n")
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_count_indecomposable)
-    p = count_sub.add_parser("hypermaps", help="rooted hypermaps on n darts")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--labeled", action="store_true", help="count labeled (transitive pairs) instead")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_count_hypermaps)
-    p = count_sub.add_parser("maps", help="rooted maps with m edges")
-    p.add_argument("--m", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_count_maps)
-    p = count_sub.add_parser("stirling-indec", help="indecomposable permutations of S_n with k cycles")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_count_stirling)
+    _command(
+        count_sub, "indecomposable", _cmd_count_indecomposable, {"n": _SIZE_ARG},
+        help="indecomposable permutations of S_n",
+    )
+    labeled = {"action": "store_true", "help": "count labeled (transitive pairs) instead"}
+    _command(
+        count_sub, "hypermaps", _cmd_count_hypermaps, {"n": _SIZE_ARG, "labeled": labeled},
+        help="rooted hypermaps on n darts",
+    )
+    _command(count_sub, "maps", _cmd_count_maps, {"m": _SIZE_ARG}, help="rooted maps with m edges")
+    _command(
+        count_sub, "stirling-indec", _cmd_count_stirling, {"n": _SIZE_ARG, "k": _SIZE_ARG},
+        help="indecomposable permutations of S_n with k cycles",
+    )
 
     table = sub.add_parser("table", help="whole tables of counts")
     table_sub = table.add_subparsers(dest="what", required=True)
-    p = table_sub.add_parser("stirling-indec", help="triangle rows 2..max-n")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_table_stirling)
-    p = table_sub.add_parser("joint", help="joint cycle/maxima polynomials 1..max-n")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_table_joint)
+    _command(
+        table_sub, "stirling-indec", _cmd_table_stirling, {"max-n": _SIZE_ARG},
+        help="triangle rows 2..max-n",
+    )
+    _command(
+        table_sub, "joint", _cmd_table_joint, {"max-n": _SIZE_ARG},
+        help="joint cycle/maxima polynomials 1..max-n",
+    )
 
     bij = sub.add_parser("bij", help="apply a bijection to one object")
     bij_sub = bij.add_subparsers(dest="what", required=True)
-    for name, handler, payloads in (
-        ("omr", _cmd_bij_omr, ("perm",)),
-        ("omr-inv", _cmd_bij_omr_inv, ("sigma", "alpha")),
-        ("fft", _cmd_bij_fft, ("perm",)),
-        ("fft-inv", _cmd_bij_fft_inv, ("perm",)),
-        ("delta", _cmd_bij_delta, ("perm",)),
-        ("delta-inv", _cmd_bij_delta_inv, ("path",)),
-        ("phi", _cmd_bij_phi, ("perm",)),
-        ("psi-prime", _cmd_bij_psi_prime, ("perm",)),
-    ):
-        p = bij_sub.add_parser(name)
-        for payload in payloads:
-            p.add_argument(f"--{payload}", required=True)
-        _add_format(p, choices=("plain", "json"))
-        p.set_defaults(handler=handler)
+    for name, (inputs, _, _) in _BIJECTIONS.items():
+        _command(bij_sub, name, _cmd_bij, dict.fromkeys(inputs, {"required": True}), _NO_CSV)
 
     poly = sub.add_parser("poly", help="print an exact polynomial")
     poly_sub = poly.add_subparsers(dest="which", required=True)
     for name in ("A", "C", "L", "Lprime"):
-        p = poly_sub.add_parser(name)
-        p.add_argument("--n", type=int, required=True)
-        _add_format(p)
-        p.set_defaults(handler=_cmd_poly, which=name)
+        _command(poly_sub, name, _cmd_poly, {"n": _SIZE_ARG})
     for name in ("M", "Mprime"):
-        p = poly_sub.add_parser(name)
-        p.add_argument("--m", type=int, required=True)
-        _add_format(p)
-        p.set_defaults(handler=_cmd_poly, which=name)
+        _command(poly_sub, name, _cmd_poly, {"m": _SIZE_ARG})
 
     prob = sub.add_parser("prob", help="exact probabilities")
     prob_sub = prob.add_subparsers(dest="what", required=True)
-    p = prob_sub.add_parser("transitive", help="P(random pair on n darts is transitive)")
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p, choices=("plain", "json"))
-    p.set_defaults(handler=_cmd_prob_transitive)
+    _command(
+        prob_sub, "transitive", _cmd_prob_transitive, {"n": _SIZE_ARG}, _NO_CSV,
+        help="P(random pair on n darts is transitive)",
+    )
 
-    p = sub.add_parser("verify", help="run the exhaustive cross-check suite")
-    p.add_argument("--max-n", type=int, default=7, dest="max_n")
-    p.add_argument("--pair-max-n", type=int, default=5, dest="pair_max_n")
-    p.add_argument("--fpf-max-size", type=int, default=10, dest="fpf_max_size")
-    p.add_argument("--inject-fault", choices=FAULTS, default=None, dest="inject_fault")
-    _add_format(p, choices=("plain", "json"))
-    p.set_defaults(handler=_cmd_verify)
-
+    verify = {
+        "max-n": {"type": int, "default": 7},
+        "pair-max-n": {"type": int, "default": 5},
+        "fpf-max-size": {"type": int, "default": 10},
+        "inject-fault": {"choices": FAULTS, "default": None},
+    }
+    _command(sub, "verify", _cmd_verify, verify, _NO_CSV, help="run the exhaustive cross-check suite")
     return parser
 
 
 def dispatch(argv: list[str]) -> int:
     """Parse argv and run one subcommand; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after help, 2 on a usage error
+        return exc.code
     try:
         return args.handler(args)
     except (PermapsError, ValueError) as exc:

@@ -33,14 +33,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .errors import InternalMismatch
 from .dyck import enum_dyck_paths, is_primitive, validate_dyck
-from .errors import InvalidPath
+from .errors import InternalMismatch, InvalidPath
 
 __all__ = [
     "BivariatePoly",
     "SeriesInZ",
-    "factorial",
     "double_factorial_odd",
     "stirling_poly",
     "stirling_number",
@@ -262,10 +260,7 @@ class SeriesInZ:
         )
 
     def __sub__(self, other: "SeriesInZ") -> "SeriesInZ":
-        self._check(other)
-        return SeriesInZ(
-            [a - b for a, b in zip(self._coeffs, other._coeffs)], self.order
-        )
+        return self + other.map_coeffs(BivariatePoly.__neg__)
 
     def __mul__(self, other: "SeriesInZ") -> "SeriesInZ":
         self._check(other)
@@ -306,11 +301,6 @@ class SeriesInZ:
 
 
 # --- scalar sequences -----------------------------------------------------------
-
-
-def factorial(n: int) -> int:
-    """n!, delegated to the standard library."""
-    return math.factorial(n)
 
 
 def double_factorial_odd(m: int) -> int:
@@ -380,16 +370,12 @@ def _c_rows(n: int) -> tuple[dict[int, int], ...]:
         row: dict[int, int] = {}
         for k in range(1, m):
             minus = stirling_number(m, k)
-            for p in range(1, m):
-                for i in range(1, min(k, p) + 1):
-                    cpi = rows[p - 1].get(i, 0)
-                    if cpi:
-                        minus -= cpi * stirling_number(m - p, k - i)
             weighted = 0
             for p in range(1, m):
                 for i in range(1, min(k, p) + 1):
                     cpi = rows[p - 1].get(i, 0)
                     if cpi:
+                        minus -= cpi * stirling_number(m - p, k - i)
                         weighted += p * cpi * stirling_number(m - 1 - p, k - i)
             if minus != weighted:
                 raise InternalMismatch(f"c_{{{m},{k}}}: {minus} != {weighted}")
@@ -459,10 +445,9 @@ def i_count(m: int) -> int:
 _PATH_SUM_LIMIT = 10
 
 
-def L_of_path(word: str) -> BivariatePoly:
-    """Product over the b steps of a Dyck word: x when the step follows
-    an a, otherwise y + height-in-front; the labeling-count generating
-    monomial weight of the path."""
+def _path_weight(word: str, peak: BivariatePoly | None) -> BivariatePoly:
+    # product over the b steps of y + height-in-front, or of peak (when
+    # given) at a b step that follows an a
     if not validate_dyck(word):
         raise InvalidPath(f"not a Dyck word: {word!r}")
     out = BivariatePoly.constant(1)
@@ -473,28 +458,51 @@ def L_of_path(word: str) -> BivariatePoly:
             height += 1
         else:
             height -= 1
-            if prev == "a":
-                out = out * BivariatePoly.x()
+            if peak is not None and prev == "a":
+                out = out * peak
             else:
                 out = out * (BivariatePoly.y() + BivariatePoly.constant(height))
         prev = ch
     return out
 
 
+def L_of_path(word: str) -> BivariatePoly:
+    """Product over the b steps of a Dyck word: x when the step follows
+    an a, otherwise y + height-in-front; the labeling-count generating
+    monomial weight of the path."""
+    return _path_weight(word, BivariatePoly.x())
+
+
 def M_of_path(word: str) -> BivariatePoly:
     """Product over the b steps of y + height-in-front, with no special
     peak case; the map-labeling weight of the path."""
-    if not validate_dyck(word):
-        raise InvalidPath(f"not a Dyck word: {word!r}")
-    out = BivariatePoly.constant(1)
-    height = 0
-    for ch in word:
-        if ch == "a":
-            height += 1
-        else:
-            height -= 1
-            out = out * (BivariatePoly.y() + BivariatePoly.constant(height))
-    return out
+    return _path_weight(word, None)
+
+
+def _path_family(name: str, size: str, n: int, family, of_path: Callable[[str], BivariatePoly]):
+    # (all, primitive) polynomials at size n of the family whose paths
+    # weigh of_path(word); family is the public cached function, so the
+    # smaller sizes come from its cache
+    if n < 1:
+        raise ValueError(f"need {size} >= 1")
+    if n == 1:
+        total = prim = of_path("ab")  # the only path of length 2
+    else:
+        prim = BivariatePoly.y() * family(n - 1)[0].subs_y_plus(1)
+        total = prim
+        for p in range(1, n):
+            total = total + family(p)[1] * family(n - p)[0]
+    if n <= _PATH_SUM_LIMIT:
+        path_total = BivariatePoly.zero()
+        path_prim = BivariatePoly.zero()
+        for word in enum_dyck_paths(n):
+            w = of_path(word)
+            path_total = path_total + w
+            if is_primitive(word):
+                path_prim = path_prim + w
+        if path_total != total or path_prim != prim:
+            raise InternalMismatch(f"{name}-family recurrence vs path sum at {size}={n}")
+    return total, prim
 
 
 @lru_cache(maxsize=None)
@@ -507,28 +515,7 @@ def L_family(n: int) -> tuple[BivariatePoly, BivariatePoly]:
 
     and cross-checked against direct summation while n <= 10.
     L'_n(x, 1) = C_n(x); L_n(1, 1) = n!; L'_n is x/y-symmetric for n >= 2."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n == 1:
-        x = BivariatePoly.x()
-        L, Lp = x, x
-    else:
-        prev_L = L_family(n - 1)[0]
-        Lp = BivariatePoly.y() * prev_L.subs_y_plus(1)
-        L = Lp
-        for p in range(1, n):
-            L = L + L_family(p)[1] * L_family(n - p)[0]
-    if n <= _PATH_SUM_LIMIT:
-        total = BivariatePoly.zero()
-        prim = BivariatePoly.zero()
-        for word in enum_dyck_paths(n):
-            w = L_of_path(word)
-            total = total + w
-            if is_primitive(word):
-                prim = prim + w
-        if total != L or prim != Lp:
-            raise InternalMismatch(f"L-family recurrence vs path sum at n={n}")
-    return L, Lp
+    return _path_family("L", "n", n, L_family, L_of_path)
 
 
 @lru_cache(maxsize=None)
@@ -541,28 +528,7 @@ def M_family(m: int) -> tuple[BivariatePoly, BivariatePoly]:
 
     and cross-checked against direct summation while m <= 10.
     M_m(1) = (2m-1)!!; M'_m(1) = i_m."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    if m == 1:
-        y = BivariatePoly.y()
-        M, Mp = y, y
-    else:
-        prev_M = M_family(m - 1)[0]
-        Mp = BivariatePoly.y() * prev_M.subs_y_plus(1)
-        M = Mp
-        for p in range(1, m):
-            M = M + M_family(p)[1] * M_family(m - p)[0]
-    if m <= _PATH_SUM_LIMIT:
-        total = BivariatePoly.zero()
-        prim = BivariatePoly.zero()
-        for word in enum_dyck_paths(m):
-            w = M_of_path(word)
-            total = total + w
-            if is_primitive(word):
-                prim = prim + w
-        if total != M or prim != Mp:
-            raise InternalMismatch(f"M-family recurrence vs path sum at m={m}")
-    return M, Mp
+    return _path_family("M", "m", m, M_family, M_of_path)
 
 
 @lru_cache(maxsize=None)

@@ -53,6 +53,7 @@ from .perm import (
     inverse,
     is_indecomposable,
     lr_maxima,
+    parse_permutation,
     rl_minima,
 )
 
@@ -60,7 +61,6 @@ __all__ = [
     "PermPair",
     "Hypermap",
     "is_transitive",
-    "make_hypermap",
     "psi",
     "satisfies_lemma1",
     "canonical_rooted_form",
@@ -123,11 +123,6 @@ def is_transitive(pair: PermPair) -> bool:
     return components == 1
 
 
-def make_hypermap(pair: PermPair) -> Hypermap:
-    """Promote a pair to a Hypermap, or raise NotTransitive."""
-    return Hypermap(pair.sigma, pair.alpha)
-
-
 def psi(theta: Permutation) -> Hypermap:
     """Split an indecomposable theta in S_{n+1} into a hypermap on n darts.
 
@@ -140,17 +135,21 @@ def psi(theta: Permutation) -> Hypermap:
     if not is_indecomposable(theta):
         raise Decomposable(f"{theta!r} is decomposable")
     n = theta.n - 1
-    maxima = lr_maxima(theta)
-    sigma_images = [0] * (n + 1)
-    bounds = list(maxima) + [n + 1]
-    for j in range(len(maxima)):
-        a, b = bounds[j], bounds[j + 1] - 1
-        for i in range(a, b):
-            sigma_images[i] = i + 1
-        sigma_images[b] = a
     top_image = theta(theta.n)
     alpha_images = tuple(v if v != theta.n else top_image for v in theta.images[:n])
-    return Hypermap(Permutation(tuple(sigma_images[1:])), Permutation(alpha_images))
+    return Hypermap(_interval_cycles(lr_maxima(theta), n), Permutation(alpha_images))
+
+
+def _interval_cycles(starts: tuple[int, ...], n: int) -> Permutation:
+    """The permutation of 1..n whose cycles are the intervals that begin
+    at ``starts`` (increasing, starting at 1), each traversed increasingly."""
+    images = [0] * (n + 1)
+    bounds = list(starts) + [n + 1]
+    for a, end in zip(bounds, bounds[1:]):
+        for i in range(a, end - 1):
+            images[i] = i + 1
+        images[end - 1] = a
+    return Permutation(tuple(images[1:]))
 
 
 def _interval_endpoints(sigma: Permutation) -> tuple[int, ...] | None:
@@ -290,8 +289,6 @@ def hypermap_to_text(h: PermPair) -> str:
 
 def hypermap_from_text(text: str) -> Hypermap:
     """Parse the ``sigma=...;alpha=...`` form produced by hypermap_to_text."""
-    from .perm import parse_permutation
-
     parts = text.strip().split(";")
     if len(parts) != 2 or not parts[0].startswith("sigma=") or not parts[1].startswith("alpha="):
         raise ParseError(f"expected 'sigma=<cycles>;alpha=<cycles>', got {text!r}")

@@ -22,6 +22,7 @@ from .enumpoly import M_family, i_count
 from .errors import Decomposable, InternalMismatch, NotFpf, SizeTooSmall
 from .hypermap import (
     Hypermap,
+    _interval_cycles,
     _interval_endpoints,
     canonical_rooted_form,
     hypermap_to_json_dict,
@@ -108,15 +109,6 @@ def psi_prime_inverse(m: Hypermap) -> Permutation:
         raise InternalMismatch("canonical form has a vertex that is not an interval")
     j = endpoints[-1]
     n1 = can.n + 1
-    sigma_images = [0] * (n1 + 1)
-    bounds = list(endpoints) + [n1 + 1]
-    for t in range(len(endpoints)):
-        a, b = bounds[t], bounds[t + 1] - 1
-        if t == len(endpoints) - 1:
-            b = n1
-        for i in range(a, b):
-            sigma_images[i] = i + 1
-        sigma_images[b] = a
     alpha_images = [0] * (n1 + 1)
     for i in range(1, can.n + 1):
         src = i + 1 if i >= j else i
@@ -124,7 +116,7 @@ def psi_prime_inverse(m: Hypermap) -> Permutation:
         alpha_images[src] = v + 1 if v >= j else v
     alpha_images[j] = j
     theta = psi_inverse(
-        Hypermap(Permutation(tuple(sigma_images[1:])), Permutation(tuple(alpha_images[1:])))
+        Hypermap(_interval_cycles(endpoints, n1), Permutation(tuple(alpha_images[1:])))
     )
     if not is_fpf_involution(theta):
         raise InternalMismatch("reinsertion lost the pairing structure")

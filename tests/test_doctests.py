@@ -1,4 +1,5 @@
 import doctest
+from pathlib import Path
 
 import permaps
 import permaps.dyck
@@ -24,3 +25,9 @@ def test_doctests():
         assert result.failed == 0, mod.__name__
         total += result.attempted
     assert total > 0  # at least the permutation examples run
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.failed == 0 and result.attempted > 0

@@ -23,7 +23,6 @@ from permaps.hypermap import (
     hypermap_to_json_dict,
     hypermap_to_text,
     is_transitive,
-    make_hypermap,
     phi_bijection,
     psi,
     psi_inverse,
@@ -80,9 +79,9 @@ def test_pair_size_mismatch():
 
 
 def test_make_hypermap():
-    assert make_hypermap(PermPair(parse_permutation("(1,2,3)", "cycle"), identity(3)))
+    assert Hypermap(parse_permutation("(1,2,3)", "cycle"), identity(3))
     with pytest.raises(NotTransitive):
-        make_hypermap(PermPair(identity(3), identity(3)))
+        Hypermap(identity(3), identity(3))
     with pytest.raises(NotTransitive):
         Hypermap(identity(2), identity(2))
 

@@ -74,14 +74,6 @@ def test_count_transitive_pairs():
         count_transitive_pairs(6)
     with pytest.raises(ValueError):
         count_transitive_pairs(0)
-    with pytest.raises(ValueError):
-        count_transitive_pairs(3, partitions=0)
-
-
-def test_count_transitive_pairs_partitions_agree():
-    for parts in (1, 2, 5, 7):
-        assert count_transitive_pairs(3, partitions=parts) == 26
-    assert count_transitive_pairs(4, partitions=3) == 426
 
 
 def test_hypermap_census():
