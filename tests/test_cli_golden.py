@@ -83,6 +83,15 @@ CASES = [
         ["verify", "--max-n", "3", "--pair-max-n", "3", "--fpf-max-size", "4",
          "--inject-fault", "skip-canonicalization"],
     ),
+    # polynomial families above the sizes whose path sum is cross-checked
+    *_in_formats(
+        ("json",),
+        ["poly", "L", "--n", "11"],
+        ["poly", "Lprime", "--n", "16"],
+        ["poly", "M", "--m", "10"],
+        ["poly", "Mprime", "--m", "24"],
+        ["table", "joint", "--max-n", "12"],
+    ),
     # domain errors: exit 1, "error: ..." on stderr
     ["bij", "omr", "--perm", "1,2,3"],
     ["bij", "omr", "--perm", "1,2,3", "--format", "json"],
