@@ -20,10 +20,11 @@ and the two families over labeled Dyck paths
 
 Every scalar table is produced by two independent recurrences that are
 cross-checked on each computation (InternalMismatch on disagreement);
-the path families are additionally cross-checked against direct
-summation over all Dyck paths while the Catalan number stays at desk
-scale (n <= 10).  Caches are append-only module-level tables guarded by
-functools.lru_cache; safe to read concurrently once written.
+the path families are additionally cross-checked, for n <= 10, against
+the sum of the path weights over all Dyck paths, taken step by step
+with the paths that share a (height, last step) state merged.  Caches
+are append-only module-level tables guarded by functools.lru_cache;
+safe to read concurrently once written.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .dyck import enum_dyck_paths, is_primitive, validate_dyck
+from .dyck import validate_dyck
 from .errors import InternalMismatch, InvalidPath
 
 __all__ = [
@@ -445,9 +446,16 @@ def i_count(m: int) -> int:
 _PATH_SUM_LIMIT = 10
 
 
+def _b_weight(height: int, after_a: bool, peak: BivariatePoly | None) -> BivariatePoly:
+    # the weight of a b step that lands at height: peak (when given)
+    # right after an a, otherwise y + height
+    if peak is not None and after_a:
+        return peak
+    return BivariatePoly({(0, 1): 1, (0, 0): height})
+
+
 def _path_weight(word: str, peak: BivariatePoly | None) -> BivariatePoly:
-    # product over the b steps of y + height-in-front, or of peak (when
-    # given) at a b step that follows an a
+    # product of the b-step weights along one word
     if not validate_dyck(word):
         raise InvalidPath(f"not a Dyck word: {word!r}")
     out = BivariatePoly.constant(1)
@@ -458,10 +466,7 @@ def _path_weight(word: str, peak: BivariatePoly | None) -> BivariatePoly:
             height += 1
         else:
             height -= 1
-            if peak is not None and prev == "a":
-                out = out * peak
-            else:
-                out = out * (BivariatePoly.y() + BivariatePoly.constant(height))
+            out = out * _b_weight(height, prev == "a", peak)
         prev = ch
     return out
 
@@ -479,28 +484,44 @@ def M_of_path(word: str) -> BivariatePoly:
     return _path_weight(word, None)
 
 
-def _path_family(name: str, size: str, n: int, family, of_path: Callable[[str], BivariatePoly]):
-    # (all, primitive) polynomials at size n of the family whose paths
-    # weigh of_path(word); family is the public cached function, so the
-    # smaller sizes come from its cache
+def _path_sum(n: int, peak: BivariatePoly | None, floor: int) -> BivariatePoly:
+    # sum of _path_weight over the Dyck words of length 2n that stay at
+    # height >= floor before their last step (floor 1: the primitive
+    # words).  A b step's weight depends only on the height and on the
+    # step before it, so the words that reach the same (height, last
+    # step) state after i steps share every suffix weight: their prefix
+    # sums merge, and the walk keeps one sum per state.
+    zero = BivariatePoly.zero()
+    states = {(0, ""): BivariatePoly.constant(1)}
+    for left in range(2 * n - 1, -1, -1):  # steps still to come after this one
+        low = floor if left else 0
+        nxt: dict[tuple[int, str], BivariatePoly] = {}
+        for (height, last), acc in states.items():
+            if height < left:
+                key = (height + 1, "a")
+                nxt[key] = nxt.get(key, zero) + acc
+            if height - 1 >= low:
+                key = (height - 1, "b")
+                nxt[key] = nxt.get(key, zero) + acc * _b_weight(height - 1, last == "a", peak)
+        states = nxt
+    return states[(0, "b")]
+
+
+def _path_family(name: str, size: str, n: int, family, peak: BivariatePoly | None):
+    # (all, primitive) polynomials at size n of the family whose b steps
+    # weigh _b_weight(..., peak); family is the public cached function,
+    # so the smaller sizes come from its cache
     if n < 1:
         raise ValueError(f"need {size} >= 1")
     if n == 1:
-        total = prim = of_path("ab")  # the only path of length 2
+        total = prim = _path_weight("ab", peak)  # the only path of length 2
     else:
         prim = BivariatePoly.y() * family(n - 1)[0].subs_y_plus(1)
         total = prim
         for p in range(1, n):
             total = total + family(p)[1] * family(n - p)[0]
     if n <= _PATH_SUM_LIMIT:
-        path_total = BivariatePoly.zero()
-        path_prim = BivariatePoly.zero()
-        for word in enum_dyck_paths(n):
-            w = of_path(word)
-            path_total = path_total + w
-            if is_primitive(word):
-                path_prim = path_prim + w
-        if path_total != total or path_prim != prim:
+        if _path_sum(n, peak, 0) != total or _path_sum(n, peak, 1) != prim:
             raise InternalMismatch(f"{name}-family recurrence vs path sum at {size}={n}")
     return total, prim
 
@@ -513,9 +534,10 @@ def L_family(n: int) -> tuple[BivariatePoly, BivariatePoly]:
         L'_n = y * L_{n-1}(x, y+1),   L'_1 = L_1 = x
         L_n  = L'_n + sum_{p<n} L'_p L_{n-p}
 
-    and cross-checked against direct summation while n <= 10.
+    and cross-checked against the sum of L_of_path over all / primitive
+    Dyck words while n <= 10.
     L'_n(x, 1) = C_n(x); L_n(1, 1) = n!; L'_n is x/y-symmetric for n >= 2."""
-    return _path_family("L", "n", n, L_family, L_of_path)
+    return _path_family("L", "n", n, L_family, BivariatePoly.x())
 
 
 @lru_cache(maxsize=None)
@@ -526,9 +548,10 @@ def M_family(m: int) -> tuple[BivariatePoly, BivariatePoly]:
         M'_m = y * M_{m-1}(y+1),   M'_1 = M_1 = y
         M_m  = M'_m + sum_{p<m} M'_p M_{m-p}
 
-    and cross-checked against direct summation while m <= 10.
+    and cross-checked against the sum of M_of_path over all / primitive
+    Dyck words while m <= 10.
     M_m(1) = (2m-1)!!; M'_m(1) = i_m."""
-    return _path_family("M", "m", m, M_family, M_of_path)
+    return _path_family("M", "m", m, M_family, None)
 
 
 @lru_cache(maxsize=None)

@@ -360,6 +360,7 @@ def _check_hypermap_census(ctx: dict) -> dict | None:
                         "reason": "canonical form depends on the labeling",
                     }
             forms.add((can.sigma.images, can.alpha.images))
+        ctx["labeled_pairs"][n] = labeled
         expected_labeled = math.factorial(n - 1) * c_count(n + 1)
         if labeled != expected_labeled:
             return {"n": n, "labeled": labeled, "expected": expected_labeled}
@@ -370,8 +371,12 @@ def _check_hypermap_census(ctx: dict) -> dict | None:
 
 
 def _check_transitive_probability(ctx: dict) -> dict | None:
+    # the census's labeled counts, where it finished a size's scan
+    counted = ctx["labeled_pairs"]
     for n in range(1, ctx["pair_max_n"] + 1):
-        pairs = count_transitive_pairs(n, limit=ctx["pair_max_n"])
+        pairs = counted.get(n)
+        if pairs is None:
+            pairs = count_transitive_pairs(n, limit=ctx["pair_max_n"])
         brute = Fraction(pairs, math.factorial(n) ** 2)
         formula = transitive_probability(n)
         if brute != formula:
@@ -600,6 +605,7 @@ def verify_suite(
         "fpf_max_size": fpf_max_size,
         "canon": canon,
         "tables": tables,
+        "labeled_pairs": {},
     }
     results = []
     for name, fn in _CHECKS:

@@ -24,7 +24,9 @@ from permaps.enumpoly import (
     stirling_poly,
     transitive_probability,
 )
-from permaps.errors import InvalidPath
+from permaps.dyck import enum_dyck_paths, is_primitive
+from permaps.enumpoly import _path_sum
+from permaps.errors import InternalMismatch, InvalidPath
 
 
 # --- polynomial type ---------------------------------------------------------
@@ -248,6 +250,42 @@ def test_M_family_specializations():
         assert Mp.evaluate(1, 1) == i_count(m)
         assert M.degree_x() == 0 and Mp.degree_x() == 0
 
+
+
+@pytest.mark.parametrize(
+    "peak, of_path", [(BivariatePoly.x(), L_of_path), (None, M_of_path)], ids=["L", "M"]
+)
+def test_state_merged_path_sum_matches_per_word_sum(peak, of_path):
+    for n in range(1, 9):
+        words = list(enum_dyck_paths(n))
+        every = sum((of_path(w) for w in words), BivariatePoly.zero())
+        primitive = sum(
+            (of_path(w) for w in words if is_primitive(w)), BivariatePoly.zero()
+        )
+        assert _path_sum(n, peak, 0) == every
+        assert _path_sum(n, peak, 1) == primitive
+
+
+@pytest.fixture
+def fresh_path_families():
+    L_family.cache_clear()
+    M_family.cache_clear()
+    yield
+    L_family.cache_clear()
+    M_family.cache_clear()
+
+
+def test_path_sum_check_catches_a_wrong_recurrence(monkeypatch, fresh_path_families):
+    # y -> y + 2 where the recurrence asks for y + 1; the path sum does not
+    # substitute, so only the recurrence side goes wrong
+    subs_y_plus = BivariatePoly.subs_y_plus
+    monkeypatch.setattr(BivariatePoly, "subs_y_plus", lambda self, k: subs_y_plus(self, 2))
+    with pytest.raises(InternalMismatch, match="recurrence vs path sum at m=2"):
+        M_family(2)
+    # L_1 = x has no y to shift, so L_2 still comes out right; L_3 does not
+    assert L_family(2)[1].to_string() == "x*y"
+    with pytest.raises(InternalMismatch, match="recurrence vs path sum at n=3"):
+        L_family(3)
 
 # --- assembled series ----------------------------------------------------------------
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from permaps import oracle
 from permaps.errors import LimitExceeded
 from permaps.oracle import (
     FAULTS,
@@ -132,6 +133,24 @@ def test_verify_suite_fault_injection():
         "reason": "canonical form depends on the labeling",
     }
 
+
+@pytest.mark.parametrize("fault, scanned", [(None, []), ("skip-canonicalization", [3])])
+def test_transitive_probability_reuses_census_counts(monkeypatch, fault, scanned):
+    # the probability check scans only the sizes the census did not finish
+    # (under the fault, the census stops at its n = 3 witness)
+    calls = []
+    real = oracle.count_transitive_pairs
+
+    def counting(n, limit=5):
+        calls.append(n)
+        return real(n, limit)
+
+    monkeypatch.setattr(oracle, "count_transitive_pairs", counting)
+    report = verify_suite(max_n=3, pair_max_n=3, fpf_max_size=4, fault=fault)
+    assert calls == scanned
+    assert [r.check for r in report.results if r.status == "fail"] == (
+        ["hypermap-census"] if fault else []
+    )
 
 def test_verify_suite_json_and_text():
     report = verify_suite(max_n=2, pair_max_n=2, fpf_max_size=4)
