@@ -371,10 +371,9 @@ def _check_hypermap_census(ctx: dict) -> dict | None:
 
 
 def _check_transitive_probability(ctx: dict) -> dict | None:
-    # the census's labeled counts, where it finished a size's scan
-    counted = ctx["labeled_pairs"]
     for n in range(1, ctx["pair_max_n"] + 1):
-        pairs = counted.get(n)
+        # the census's count, unless it stopped before finishing size n
+        pairs = ctx["labeled_pairs"].get(n)
         if pairs is None:
             pairs = count_transitive_pairs(n, limit=ctx["pair_max_n"])
         brute = Fraction(pairs, math.factorial(n) ** 2)
