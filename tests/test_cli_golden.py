@@ -92,6 +92,13 @@ CASES = [
         ["poly", "Mprime", "--m", "24"],
         ["table", "joint", "--max-n", "12"],
     ),
+    # verify at the sizes the benchmark runs, with and without the injected fault
+    *_in_formats(
+        _PERM_FORMATS,
+        ["verify", "--max-n", "6", "--pair-max-n", "4", "--fpf-max-size", "10"],
+    ),
+    ["verify", "--max-n", "5", "--pair-max-n", "4", "--fpf-max-size", "8",
+     "--inject-fault", "skip-canonicalization", "--format", "json"],
     # domain errors: exit 1, "error: ..." on stderr
     ["bij", "omr", "--perm", "1,2,3"],
     ["bij", "omr", "--perm", "1,2,3", "--format", "json"],
