@@ -28,6 +28,11 @@ syntactic characterization.
 ``phi_bijection`` composes psi with its inverse on the swapped pair,
 block by block: an involution of S_n exchanging the number of cycles
 with the number of left-to-right maxima.
+
+``Hypermap(...)`` checks transitivity, ``psi``'s result included.  The
+one trusted path is ``canonical_rooted_form``: its scan raises
+``NotTransitive`` unless it reaches every dart, so its output is built
+by the private ``_hypermap`` without a second check.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .errors import (
 )
 from .perm import (
     Permutation,
+    _perm,
     blocks,
     concat_blocks,
     conjugate,
@@ -82,7 +88,7 @@ class PermPair:
     alpha: Permutation
 
     def __post_init__(self) -> None:
-        if self.sigma.n != self.alpha.n:
+        if len(self.sigma.images) != len(self.alpha.images):
             raise SizeMismatch(
                 f"sigma acts on 1..{self.sigma.n} but alpha on 1..{self.alpha.n}"
             )
@@ -102,25 +108,32 @@ class Hypermap(PermPair):
             raise NotTransitive("sigma and alpha do not act transitively")
 
 
+def _hypermap(sigma: Permutation, alpha: Permutation) -> Hypermap:
+    """A Hypermap on a pair already known to be transitive and of one
+    size, built without the check of ``Hypermap(...)``."""
+    h = object.__new__(Hypermap)
+    object.__setattr__(h, "sigma", sigma)
+    object.__setattr__(h, "alpha", alpha)
+    return h
+
+
 def is_transitive(pair: PermPair) -> bool:
-    """Connectivity of the graph joining each dart to its two images."""
-    n = pair.n
-    parent = list(range(n + 1))
+    """Connectivity of the graph joining each dart to its two images.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = n
-    for b in range(1, n + 1):
-        for c in (pair.sigma(b), pair.alpha(b)):
-            rb, rc = find(b), find(c)
-            if rb != rc:
-                parent[rb] = rc
-                components -= 1
-    return components == 1
+    Inverses are powers in a finite group, so forward steps from dart n
+    reach its whole orbit."""
+    sigma, alpha = pair.sigma.images, pair.alpha.images
+    n = len(sigma)
+    seen = bytearray(n + 1)
+    seen[n] = 1
+    stack = [n]
+    while stack:
+        e = stack.pop() - 1
+        for f in (sigma[e], alpha[e]):
+            if not seen[f]:
+                seen[f] = 1
+                stack.append(f)
+    return seen.count(1) == n
 
 
 def psi(theta: Permutation) -> Hypermap:
@@ -135,9 +148,9 @@ def psi(theta: Permutation) -> Hypermap:
     if not is_indecomposable(theta):
         raise Decomposable(f"{theta!r} is decomposable")
     n = theta.n - 1
-    top_image = theta(theta.n)
-    alpha_images = tuple(v if v != theta.n else top_image for v in theta.images[:n])
-    return Hypermap(_interval_cycles(lr_maxima(theta), n), Permutation(alpha_images))
+    top_image = theta.images[n]
+    alpha_images = tuple([v if v <= n else top_image for v in theta.images[:n]])
+    return Hypermap(_interval_cycles(lr_maxima(theta), n), _perm(alpha_images))
 
 
 def _interval_cycles(starts: tuple[int, ...], n: int) -> Permutation:
@@ -149,21 +162,22 @@ def _interval_cycles(starts: tuple[int, ...], n: int) -> Permutation:
         for i in range(a, end - 1):
             images[i] = i + 1
         images[end - 1] = a
-    return Permutation(tuple(images[1:]))
+    return _perm(tuple(images[1:]))
 
 
 def _interval_endpoints(sigma: Permutation) -> tuple[int, ...] | None:
     """Left endpoints when every cycle of sigma is an interval of
     consecutive integers traversed increasingly; None otherwise."""
+    images = sigma.images
+    n = len(images)
     endpoints = []
     start = 1
-    n = sigma.n
     while start <= n:
         endpoints.append(start)
         j = start
-        while j < n and sigma(j) == j + 1:
+        while j < n and images[j - 1] == j + 1:
             j += 1
-        if sigma(j) != start:
+        if images[j - 1] != start:
             return None
         start = j + 1
     return tuple(endpoints)
@@ -221,7 +235,7 @@ def canonical_rooted_form(h: PermPair) -> tuple[Hypermap, Permutation]:
         t = c.index(u)
         rev.extend(reversed(c[t:] + c[:t]))
 
-    write(h.sigma(n))
+    write(h.sigma.images[n - 1])
     # the loop's own index walks the examined prefix while writes append
     for e in rev:
         u = alpha_inv[e]
@@ -229,8 +243,8 @@ def canonical_rooted_form(h: PermPair) -> tuple[Hypermap, Permutation]:
             write(u)
     if len(rev) < n:
         raise NotTransitive("scan exhausted before covering every dart")
-    phi = Permutation(tuple(reversed(rev)))
-    return Hypermap(conjugate(h.sigma, phi), conjugate(h.alpha, phi)), phi
+    phi = _perm(tuple(reversed(rev)))
+    return _hypermap(conjugate(h.sigma, phi), conjugate(h.alpha, phi)), phi
 
 
 def psi_inverse(h: PermPair) -> Permutation:
@@ -248,7 +262,7 @@ def psi_inverse(h: PermPair) -> Permutation:
     a = can.alpha.images
     n = can.n
     theta = a[: ik - 1] + (n + 1,) + a[ik:] + (a[ik - 1],)
-    return Permutation(theta)
+    return _perm(theta)
 
 
 def rooted_isomorphic(h1: PermPair, h2: PermPair) -> bool:

@@ -29,7 +29,7 @@ from .hypermap import (
     psi,
     psi_inverse,
 )
-from .perm import Permutation, is_indecomposable
+from .perm import Permutation, _perm, is_indecomposable
 
 __all__ = [
     "RootedMap",
@@ -44,9 +44,10 @@ __all__ = [
 
 def is_fpf_involution(p: Permutation) -> bool:
     """True when p pairs up {1..n} with no fixed point (n must be even)."""
-    if p.n % 2:
+    images = p.images
+    if len(images) % 2:
         return False
-    return all(p(i) != i and p(p(i)) == i for i in range(1, p.n + 1))
+    return all(v != i and images[v - 1] == i for i, v in enumerate(images, 1))
 
 
 @dataclass(frozen=True)
@@ -75,22 +76,21 @@ def psi_prime(theta: Permutation) -> RootedMap:
     j = theta(theta.n)
     # deleting the top value turns the pair {j, 2m+2} into the single
     # fixed point j of alpha; remove it and renumber darts above j
+    sigma, alpha = h.sigma.images, h.alpha.images
     n2 = h.n - 1
     sigma_images = [0] * (n2 + 1)
     alpha_images = [0] * (n2 + 1)
     for i in range(1, h.n + 1):
         if i == j:
             continue
-        s = h.sigma(i)
+        s = sigma[i - 1]
         if s == j:
-            s = h.sigma(j)
+            s = sigma[j - 1]
         t = i - 1 if i > j else i
         sigma_images[t] = s - 1 if s > j else s
-        a = h.alpha(i)
+        a = alpha[i - 1]
         alpha_images[t] = a - 1 if a > j else a
-    return RootedMap(
-        Permutation(tuple(sigma_images[1:])), Permutation(tuple(alpha_images[1:]))
-    )
+    return RootedMap(_perm(tuple(sigma_images[1:])), _perm(tuple(alpha_images[1:])))
 
 
 def psi_prime_inverse(m: Hypermap) -> Permutation:
@@ -110,13 +110,12 @@ def psi_prime_inverse(m: Hypermap) -> Permutation:
     j = endpoints[-1]
     n1 = can.n + 1
     alpha_images = [0] * (n1 + 1)
-    for i in range(1, can.n + 1):
+    for i, v in enumerate(can.alpha.images, 1):
         src = i + 1 if i >= j else i
-        v = can.alpha(i)
         alpha_images[src] = v + 1 if v >= j else v
     alpha_images[j] = j
     theta = psi_inverse(
-        Hypermap(_interval_cycles(endpoints, n1), Permutation(tuple(alpha_images[1:])))
+        Hypermap(_interval_cycles(endpoints, n1), _perm(tuple(alpha_images[1:])))
     )
     if not is_fpf_involution(theta):
         raise InternalMismatch("reinsertion lost the pairing structure")

@@ -16,6 +16,12 @@ A permutation is indecomposable (connected) when no proper prefix
 Every permutation factors uniquely into a concatenation of
 indecomposable blocks; ``blocks``/``concat_blocks`` realize the two
 directions.
+
+Validation happens at the boundary: ``Permutation(...)``, the parsers
+and ``from_cycles`` check that the images are plain ints forming a
+bijection of 1..n.  Permutations the library derives from valid ones
+(inverses, conjugates, blocks, flattened cycles) are built by the
+private ``_perm``, which trusts its images and skips that check.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ class Permutation:
         n = len(images)
         if n == 0:
             raise NotABijection("a permutation needs at least one element")
-        if sorted(images) != list(range(1, n + 1)):
+        if not _is_bijection(images, n):
             raise NotABijection(f"not a bijection of 1..{n}: {images}")
 
     @property
@@ -77,6 +83,20 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({','.join(map(str, self.images))})"
+
+
+def _is_bijection(values: Sequence[int], n: int) -> bool:
+    """Whether ``values`` are plain ints (not bools or floats that compare
+    equal to them) listing each of 1..n exactly once."""
+    return {*map(type, values)} == {int} and sorted(values) == list(range(1, n + 1))
+
+
+def _perm(images: tuple[int, ...]) -> Permutation:
+    """A Permutation on images already known to be a bijection of 1..n,
+    built without the check of ``Permutation(...)``."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
 
 
 @dataclass(frozen=True)
@@ -100,7 +120,7 @@ def identity(n: int) -> Permutation:
     """The identity permutation on {1..n}."""
     if n < 1:
         raise NotABijection("a permutation needs at least one element")
-    return Permutation(tuple(range(1, n + 1)))
+    return _perm(tuple(range(1, n + 1)))
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
@@ -111,7 +131,7 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     """
     if a.n != b.n:
         raise SizeMismatch(f"cannot compose sizes {a.n} and {b.n}")
-    return Permutation(tuple(a(b(i)) for i in range(1, a.n + 1)))
+    return _perm(tuple([a.images[v - 1] for v in b.images]))
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -119,7 +139,7 @@ def inverse(p: Permutation) -> Permutation:
     inv = [0] * p.n
     for i, v in enumerate(p.images, start=1):
         inv[v - 1] = i
-    return Permutation(tuple(inv))
+    return _perm(tuple(inv))
 
 
 def cycles(p: Permutation, canonical: bool = True) -> CycleForm:
@@ -130,27 +150,26 @@ def cycles(p: Permutation, canonical: bool = True) -> CycleForm:
     >>> str(cycles(Permutation((4, 7, 2, 1, 3, 6, 5, 9, 8)), canonical=False))
     '(1,4)(2,7,5,3)(6)(8,9)'
     """
-    seen = [False] * (p.n + 1)
-    orbits: list[list[int]] = []
-    for i in range(1, p.n + 1):
+    images = p.images
+    n = len(images)
+    seen = bytearray(n + 1)
+    orbits: list[tuple[int, ...]] = []
+    # scanning downwards, the first unseen element of a cycle is its
+    # maximum; scanning upwards, its minimum
+    for i in range(n, 0, -1) if canonical else range(1, n + 1):
         if seen[i]:
             continue
         orb = [i]
-        seen[i] = True
-        j = p(i)
+        seen[i] = 1
+        j = images[i - 1]
         while j != i:
             orb.append(j)
-            seen[j] = True
-            j = p(j)
-        orbits.append(orb)
-    if not canonical:
-        return CycleForm(tuple(tuple(o) for o in orbits), False)
-    rotated = []
-    for o in orbits:
-        m = o.index(max(o))
-        rotated.append(tuple(o[m:] + o[:m]))
-    rotated.sort(key=lambda c: c[0])
-    return CycleForm(tuple(rotated), True)
+            seen[j] = 1
+            j = images[j - 1]
+        orbits.append(tuple(orb))
+    if canonical:
+        orbits.reverse()
+    return CycleForm(tuple(orbits), canonical)
 
 
 def from_cycles(cycs: Iterable[Sequence[int]], n: int | None = None) -> Permutation:
@@ -165,13 +184,13 @@ def from_cycles(cycs: Iterable[Sequence[int]], n: int | None = None) -> Permutat
         raise NotABijection("no cycles given")
     if n is None:
         n = max(elements)
-    if sorted(elements) != list(range(1, n + 1)):
+    if not _is_bijection(elements, n):
         raise NotABijection(f"cycles do not partition 1..{n}: {cycs}")
     img = [0] * (n + 1)
     for c in cycs:
         for i, e in enumerate(c):
             img[e] = c[(i + 1) % len(c)]
-    return Permutation(tuple(img[1:]))
+    return _perm(tuple(img[1:]))
 
 
 _ONE_LINE_TOKEN = re.compile(r"[1-9]\d*\Z")
@@ -241,10 +260,11 @@ def rl_minima(p: Permutation) -> tuple[int, ...]:
     >>> rl_minima(Permutation((4, 6, 5, 7, 3, 8, 1, 9, 10, 2)))
     (7, 10)
     """
+    images = p.images
     out = []
-    low = p.n + 1
-    for i in range(p.n, 0, -1):
-        v = p(i)
+    low = len(images) + 1
+    for i in range(len(images), 0, -1):
+        v = images[i - 1]
         if v < low:
             out.append(i)
             low = v
@@ -261,7 +281,8 @@ def is_indecomposable(p: Permutation) -> bool:
     """
     running = 0
     for i, v in enumerate(p.images[:-1], start=1):
-        running = max(running, v)
+        if v > running:
+            running = v
         if running == i:
             return False
     return True
@@ -277,9 +298,10 @@ def blocks(p: Permutation) -> list[Permutation]:
     running = 0
     start = 0
     for i, v in enumerate(p.images, start=1):
-        running = max(running, v)
+        if v > running:
+            running = v
         if running == i:
-            out.append(Permutation(tuple(v - start for v in p.images[start:i])))
+            out.append(_perm(tuple(v - start for v in p.images[start:i])))
             start = i
     return out
 
@@ -296,7 +318,7 @@ def concat_blocks(bs: Sequence[Permutation]) -> Permutation:
     for b in bs:
         images.extend(v + offset for v in b.images)
         offset += b.n
-    return Permutation(tuple(images))
+    return _perm(tuple(images))
 
 
 def fundamental_transform(p: Permutation) -> Permutation:
@@ -309,8 +331,7 @@ def fundamental_transform(p: Permutation) -> Permutation:
     >>> fundamental_transform(Permutation((4, 7, 2, 1, 3, 6, 5, 9, 8)))
     Permutation(4,1,6,7,5,3,2,9,8)
     """
-    flat = [e for c in cycles(p).cycles for e in c]
-    return Permutation(tuple(flat))
+    return _perm(tuple(e for c in cycles(p).cycles for e in c))
 
 
 def fundamental_transform_inverse(p: Permutation) -> Permutation:
@@ -331,4 +352,5 @@ def conjugate(p: Permutation, phi: Permutation) -> Permutation:
     inv = [0] * (p.n + 1)
     for i, v in enumerate(phi.images, start=1):
         inv[v] = i
-    return Permutation(tuple(inv[p(phi(i))] for i in range(1, p.n + 1)))
+    images = p.images
+    return _perm(tuple([inv[images[v - 1]] for v in phi.images]))

@@ -1,10 +1,13 @@
-"""Straightforward reference forms of the slot bijection and the
-canonical scan, for tests to compare the fast library versions against.
+"""Straightforward reference forms of the slot bijection, the canonical
+scan and the permutation primitives, for tests to compare the fast
+library versions against.
 
-They rebuild the free-slot list, search for the pivot and rescan the
-written word at every step, so they are quadratic or worse.  They live
-with the tests rather than in the package so that ``import permaps``
-does not load code only tests run.
+The slot and scan forms rebuild the free-slot list, search for the pivot
+and rescan the written word at every step, so they are quadratic or
+worse.  The primitives evaluate ``p(i)`` point by point, rotate and sort
+cycles, and join components with union-find.  They live with the tests
+rather than in the package so that ``import permaps`` does not load code
+only tests run.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from permaps.errors import (
     PlacementOutOfRange,
 )
 from permaps.hypermap import Hypermap, PermPair
-from permaps.perm import Permutation, conjugate, cycles, inverse
+from permaps.perm import CycleForm, Permutation, conjugate, cycles, inverse
 
 
 class _ReferenceSlots:
@@ -171,3 +174,58 @@ def reference_canonical_rooted_form(h: PermPair) -> tuple[Hypermap, Permutation]
             placed.update(rot)
     phi = Permutation(tuple(written))
     return Hypermap(conjugate(h.sigma, phi), conjugate(h.alpha, phi)), phi
+
+
+def reference_cycles(p: Permutation, canonical: bool = True) -> CycleForm:
+    """``perm.cycles`` by following ``p(i)`` from each unseen minimum, then
+    rotating every orbit to its maximum and sorting by first element."""
+    seen = [False] * (p.n + 1)
+    orbits: list[list[int]] = []
+    for i in range(1, p.n + 1):
+        if seen[i]:
+            continue
+        orb = [i]
+        seen[i] = True
+        j = p(i)
+        while j != i:
+            orb.append(j)
+            seen[j] = True
+            j = p(j)
+        orbits.append(orb)
+    if not canonical:
+        return CycleForm(tuple(tuple(o) for o in orbits), False)
+    rotated = []
+    for o in orbits:
+        m = o.index(max(o))
+        rotated.append(tuple(o[m:] + o[:m]))
+    rotated.sort(key=lambda c: c[0])
+    return CycleForm(tuple(rotated), True)
+
+
+def reference_conjugate(p: Permutation, phi: Permutation) -> Permutation:
+    """``perm.conjugate`` point by point, through the checked constructor."""
+    inv = [0] * (p.n + 1)
+    for i, v in enumerate(phi.images, start=1):
+        inv[v] = i
+    return Permutation(tuple(inv[p(phi(i))] for i in range(1, p.n + 1)))
+
+
+def reference_is_transitive(pair: PermPair) -> bool:
+    """``hypermap.is_transitive`` by union-find over both images of every dart."""
+    n = pair.n
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = n
+    for b in range(1, n + 1):
+        for c in (pair.sigma(b), pair.alpha(b)):
+            rb, rc = find(b), find(c)
+            if rb != rc:
+                parent[rb] = rc
+                components -= 1
+    return components == 1

@@ -1,6 +1,7 @@
-"""The slot bijection and the canonical scan at sizes far beyond the
-exhaustive sweeps: property tests against the reference forms in
-``reference.py``, and a round trip at n = 10^5."""
+"""The slot bijection, the canonical scan and the image-indexed
+permutation primitives at sizes far beyond the exhaustive sweeps:
+property tests against the reference forms in ``reference.py``, and a
+round trip at n = 10^5."""
 
 import itertools
 import random
@@ -11,11 +12,14 @@ from hypothesis import strategies as st
 from permaps.dyck import delta, delta_inverse
 from permaps.errors import NotTransitive
 from permaps.hypermap import PermPair, canonical_rooted_form, is_transitive
-from permaps.perm import Permutation, conjugate
+from permaps.perm import Permutation, conjugate, cycles
 from reference import (
     reference_canonical_rooted_form,
+    reference_conjugate,
+    reference_cycles,
     reference_delta,
     reference_delta_inverse,
+    reference_is_transitive,
 )
 
 # derandomized, so every run draws the same examples
@@ -122,3 +126,64 @@ def test_delta_round_trip_at_100000(rng):
     rng.shuffle(images)
     p = Permutation(tuple(images))
     assert delta_inverse(delta(p)) == p
+
+
+def with_isolated_dart(rng, n):
+    """A random transitive pair on n - 1 darts plus one dart that both
+    permutations fix: the root half the time, else a random label."""
+    h = random_hypermap(rng, n - 1)
+    k = rng.choice((n, rng.randint(1, n)))
+
+    def lift(p):
+        shift = [0] + [d if d < k else d + 1 for d in range(1, n)]
+        images = [shift[v] for v in p.images]
+        images.insert(k - 1, k)
+        return Permutation(tuple(images))
+
+    return PermPair(lift(h.sigma), lift(h.alpha))
+
+
+def test_primitives_match_reference_exhaustive():
+    for n in range(1, 7):
+        perms = [Permutation(im) for im in itertools.permutations(range(1, n + 1))]
+        for p in perms:
+            for canonical in (True, False):
+                assert cycles(p, canonical) == reference_cycles(p, canonical)
+            assert conjugate(p, perms[-1]) == reference_conjugate(p, perms[-1])
+        if n <= 4:
+            for s, a in itertools.product(perms, repeat=2):
+                h = PermPair(s, a)
+                assert is_transitive(h) == reference_is_transitive(h)
+
+
+@bounded
+@given(st.integers(1, 500), seeds)
+def test_cycles_match_reference(n, rng):
+    p = random_perm(rng, n)
+    for canonical in (True, False):
+        assert cycles(p, canonical) == reference_cycles(p, canonical)
+
+
+@bounded
+@given(st.integers(1, 500), seeds)
+def test_conjugate_matches_reference(n, rng):
+    p, phi = random_perm(rng, n), random_perm(rng, n)
+    assert conjugate(p, phi) == reference_conjugate(p, phi)
+
+
+@bounded
+@given(st.integers(2, 500), seeds)
+def test_is_transitive_matches_reference(n, rng):
+    joined = random_hypermap(rng, n)
+    isolated = with_isolated_dart(rng, n)
+    assert is_transitive(joined) and reference_is_transitive(joined)
+    assert not is_transitive(isolated) and not reference_is_transitive(isolated)
+    # few swaps leave many components; two shuffles are usually transitive
+    shuffled = [list(range(1, n + 1)) for _ in range(2)]
+    for images in shuffled:
+        rng.shuffle(images)
+    for pair in (
+        PermPair(random_perm(rng, n), random_perm(rng, n)),
+        PermPair(*(Permutation(tuple(images)) for images in shuffled)),
+    ):
+        assert is_transitive(pair) == reference_is_transitive(pair)

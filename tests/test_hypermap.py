@@ -144,6 +144,33 @@ def test_canonical_rooted_form_trace():
     assert conjugate(alp, phi) == can.alpha
 
 
+def test_canonical_rooted_form_rejects_non_transitive_pairs():
+    split = parse_permutation("(1,2)(3)", "cycle")
+    root_apart = parse_permutation("(1,2)(3)(4)", "cycle")
+    other_apart = parse_permutation("(1)(2,3)(4)", "cycle")
+    for pair in (
+        PermPair(identity(3), identity(3)),
+        PermPair(split, split),
+        # the scan starts at the root: once cut off with it, once away from it
+        PermPair(root_apart, parse_permutation("(1)(2,3)(4)", "cycle")),
+        PermPair(other_apart, parse_permutation("(1)(2)(3,4)", "cycle")),
+    ):
+        assert not is_transitive(pair)
+        with pytest.raises(NotTransitive):
+            canonical_rooted_form(pair)
+
+
+def test_canonical_output_equals_a_checked_hypermap():
+    # the canonical pair skips the transitivity check; it must be
+    # indistinguishable from one built through Hypermap(...)
+    for h in filter(is_transitive, all_pairs(4)):
+        can, phi = canonical_rooted_form(h)
+        checked = Hypermap(Permutation(can.sigma.images), Permutation(can.alpha.images))
+        assert type(can) is Hypermap and type(can.sigma) is Permutation
+        assert can == checked and hash(can) == hash(checked)
+        assert phi == Permutation(phi.images) and hash(phi) == hash(Permutation(phi.images))
+
+
 def test_canonical_idempotent_and_lemma1():
     for size in range(2, 7):
         for theta in indecomposables(size):

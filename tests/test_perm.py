@@ -45,6 +45,26 @@ def test_constructor_rejects_non_bijections():
         Permutation((0, 1))
 
 
+@pytest.mark.parametrize(
+    "images",
+    [(2.0, 1.0), (3.0, 1, 2), (True,), (2, True), (1, "2")],
+    ids=["floats", "one-float", "bool", "bool-among-ints", "str"],
+)
+def test_constructor_rejects_non_int_images(images):
+    # each compares equal to (or sorts like) a valid image tuple
+    with pytest.raises(NotABijection):
+        Permutation(images)
+
+
+def test_from_cycles_rejects_non_int_elements():
+    with pytest.raises(NotABijection):
+        from_cycles([(1.0, 2.0)])
+    with pytest.raises(NotABijection):
+        from_cycles([(1, 2.0)], n=2)
+    with pytest.raises(NotABijection):
+        from_cycles([(True,)])
+
+
 def test_parse_one_line():
     assert parse_permutation("3,1,2").images == (3, 1, 2)
     assert parse_permutation(" 3 , 1 , 2 ").images == (3, 1, 2)
