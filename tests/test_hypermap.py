@@ -146,14 +146,17 @@ def test_canonical_rooted_form_trace():
 
 def test_canonical_rooted_form_rejects_non_transitive_pairs():
     split = parse_permutation("(1,2)(3)", "cycle")
-    root_apart = parse_permutation("(1,2)(3)(4)", "cycle")
-    other_apart = parse_permutation("(1)(2,3)(4)", "cycle")
+    a, b, c = (
+        parse_permutation(text, "cycle")
+        for text in ("(1,2)(3)(4)", "(1)(2,3)(4)", "(1)(2)(3,4)")
+    )
     for pair in (
         PermPair(identity(3), identity(3)),
         PermPair(split, split),
-        # the scan starts at the root: once cut off with it, once away from it
-        PermPair(root_apart, parse_permutation("(1)(2,3)(4)", "cycle")),
-        PermPair(other_apart, parse_permutation("(1)(2)(3,4)", "cycle")),
+        # the scan starts at the root, dart 4: cut off here ...
+        PermPair(a, b),
+        # ... and here joined to every dart but 1
+        PermPair(b, c),
     ):
         assert not is_transitive(pair)
         with pytest.raises(NotTransitive):

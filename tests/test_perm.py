@@ -51,7 +51,7 @@ def test_constructor_rejects_non_bijections():
     ids=["floats", "one-float", "bool", "bool-among-ints", "str"],
 )
 def test_constructor_rejects_non_int_images(images):
-    # each compares equal to (or sorts like) a valid image tuple
+    # floats and bools compare equal to valid images; a str mixes types
     with pytest.raises(NotABijection):
         Permutation(images)
 
