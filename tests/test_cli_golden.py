@@ -92,6 +92,19 @@ CASES = [
         ["poly", "Mprime", "--m", "24"],
         ["table", "joint", "--max-n", "12"],
     ),
+    # counting tables and the A, C polynomials at the largest sizes the CLI accepts
+    *_in_formats(
+        ("json",),
+        ["poly", "A", "--n", "64"],
+        ["poly", "C", "--n", "64"],
+        ["table", "stirling-indec", "--max-n", "40"],
+        ["count", "stirling-indec", "--n", "64", "--k", "3"],
+        ["count", "stirling-indec", "--n", "64", "--k", "40"],
+        ["count", "indecomposable", "--n", "64"],
+        ["count", "hypermaps", "--n", "63", "--labeled"],
+        ["count", "maps", "--m", "64"],
+        ["prob", "transitive", "--n", "63"],
+    ),
     # verify at the sizes the benchmark runs, with and without the injected fault
     *_in_formats(
         _PERM_FORMATS,
