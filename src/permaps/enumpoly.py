@@ -18,18 +18,26 @@ and the two families over labeled Dyck paths
                           pairings, y+height on every down step
                           (rooted maps with m edges by vertices).
 
-Every scalar table is produced by two independent recurrences that are
-cross-checked on each computation (InternalMismatch on disagreement);
-the path families are additionally cross-checked, for n <= 10, against
-the sum of the path weights over all Dyck paths, taken step by step
-with the paths that share a (height, last step) state merged.  Caches
-are append-only module-level tables guarded by functools.lru_cache;
-safe to read concurrently once written.
+c_n and C_n are each produced by two independent recurrences that are
+cross-checked at every size (InternalMismatch on disagreement).  i_m
+has one recurrence; verify's map-counts check compares it with an
+exhaustive count of indecomposable fixed-point-free involutions, and
+M'_m(1) = i_m ties it to the M family.  The path families are
+cross-checked, for n <= 10, against the sum of the path weights over
+all Dyck paths, taken step by step with the paths that share a
+(height, last step) state merged.
+
+m!, (2m-1)!!, A_m, C_m, c_m and i_m each live in one append-only
+module-level list, grown iteratively up to the largest size asked for;
+entry m is computed from the entries below it.  Growth takes a lock and
+stored entries never change, so concurrent callers are safe.  The path
+families and joint_perm_poly are cached by functools.lru_cache.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -301,6 +309,32 @@ class SeriesInZ:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
 
 
+# --- append-only tables -------------------------------------------------------------
+
+_GROWING = threading.RLock()
+
+
+def _entry(table: list, m: int, step: Callable[[list, int], object]):
+    # entry m of an append-only table whose entry j is step(table, j),
+    # computed from the entries below j.  Appends happen under one lock
+    # (reentrant: a step may grow another table), so no entry is ever
+    # stored at the wrong index; stored entries never change, so reading
+    # one needs no lock.
+    if m >= len(table):
+        with _GROWING:
+            while len(table) <= m:
+                table.append(step(table, len(table)))
+    return table[m]
+
+
+_FACTORIALS = [1]  # m!
+_DOUBLE_FACTORIALS = [1]  # (2m-1)!!
+_A = [BivariatePoly.constant(1)]  # A_m(x)
+_C = [BivariatePoly.zero(), BivariatePoly.x()]  # C_m(x); C_0 = 0
+_C_COUNTS = [0, 1]  # c_m; c_0 = 0
+_I_COUNTS = [0]  # i_m; i_0 = 0
+
+
 # --- scalar sequences -----------------------------------------------------------
 
 
@@ -311,16 +345,14 @@ def double_factorial_odd(m: int) -> int:
     return math.factorial(2 * m) // (math.factorial(m) << m)
 
 
-@lru_cache(maxsize=None)
 def stirling_poly(n: int) -> BivariatePoly:
     """A_n(x) = x(x+1)...(x+n-1); coefficients are the unsigned Stirling
     numbers of the first kind (permutations of S_n by cycle count)."""
     if n < 0:
         raise ValueError("need n >= 0")
-    if n == 0:
-        return BivariatePoly.constant(1)
-    prev = stirling_poly(n - 1)
-    return prev * (BivariatePoly.x() + BivariatePoly.constant(n - 1))
+    return _entry(
+        _A, n, lambda A, m: A[m - 1] * (BivariatePoly.x() + BivariatePoly.constant(m - 1))
+    )
 
 
 def stirling_number(n: int, k: int) -> int:
@@ -330,60 +362,27 @@ def stirling_number(n: int, k: int) -> int:
     return stirling_poly(n).coefficient(k, 0)
 
 
-@lru_cache(maxsize=None)
-def _c_table(n: int) -> tuple[int, ...]:
-    # two recurrences, checked against each other at every size:
+def _c_count_step(c: list, m: int) -> int:
+    # two recurrences, checked against each other at every size m >= 2:
     #   c_m = m! - sum_{p<m} c_p (m-p)!
-    #   c_m = sum_{p<m} p c_p (m-1-p)!   (m >= 2)
-    vals: list[int] = []
-    for m in range(1, n + 1):
-        by_subtraction = math.factorial(m) - sum(
-            vals[p - 1] * math.factorial(m - p) for p in range(1, m)
-        )
-        if m == 1:
-            by_weighting = 1
-        else:
-            by_weighting = sum(
-                p * vals[p - 1] * math.factorial(m - 1 - p) for p in range(1, m)
-            )
-        if by_subtraction != by_weighting:
-            raise InternalMismatch(
-                f"c_{m}: {by_subtraction} != {by_weighting}"
-            )
-        vals.append(by_subtraction)
-    return tuple(vals)
+    #   c_m = sum_{p<m} p c_p (m-1-p)!
+    f = _FACTORIALS
+    _entry(f, m, lambda t, j: t[j - 1] * j)
+    by_subtraction = f[m] - sum(c[p] * f[m - p] for p in range(1, m))
+    by_weighting = sum(p * c[p] * f[m - 1 - p] for p in range(1, m))
+    if by_subtraction != by_weighting:
+        raise InternalMismatch(f"c_{m}: {by_subtraction} != {by_weighting}")
+    return by_subtraction
 
 
 def c_count(n: int) -> int:
-    """Indecomposable permutations of S_n: 1, 1, 3, 13, 71, 461, 3447, ..."""
+    """Indecomposable permutations of S_n: 1, 1, 3, 13, 71, 461, 3447, ...
+
+    The first call at a new largest n costs O(n^2) products of big
+    integers (of about log2(n!) bits); smaller n are then read back."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _c_table(n)[-1]
-
-
-@lru_cache(maxsize=None)
-def _c_rows(n: int) -> tuple[dict[int, int], ...]:
-    # row m maps k -> c_{m,k}; seeded with c_{1,1} = 1; each entry is
-    # produced by the inclusion-exclusion formula and cross-checked by
-    # the first-point-of-last-block formula
-    rows: list[dict[int, int]] = [{1: 1}]
-    for m in range(2, n + 1):
-        row: dict[int, int] = {}
-        for k in range(1, m):
-            minus = stirling_number(m, k)
-            weighted = 0
-            for p in range(1, m):
-                for i in range(1, min(k, p) + 1):
-                    cpi = rows[p - 1].get(i, 0)
-                    if cpi:
-                        minus -= cpi * stirling_number(m - p, k - i)
-                        weighted += p * cpi * stirling_number(m - 1 - p, k - i)
-            if minus != weighted:
-                raise InternalMismatch(f"c_{{{m},{k}}}: {minus} != {weighted}")
-            if minus:
-                row[k] = minus
-        rows.append(row)
-    return tuple(rows)
+    return _entry(_C_COUNTS, n, _c_count_step)
 
 
 def c_count_by_cycles(n: int, k: int) -> int:
@@ -392,53 +391,46 @@ def c_count_by_cycles(n: int, k: int) -> int:
         raise ValueError("need n >= 2 (S_1 has the single 1-cycle permutation)")
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= {n - 1}, got {k}")
-    return _c_rows(n)[n - 1].get(k, 0)
+    return c_poly(n).coefficient(k, 0)
 
 
-@lru_cache(maxsize=None)
+def _c_poly_step(C: list, n: int) -> BivariatePoly:
+    stirling_poly(n)
+    A = _A
+    by_subtraction = A[n]
+    by_weighting = BivariatePoly.zero()
+    for p in range(1, n):
+        by_subtraction = by_subtraction - A[n - p] * C[p]
+        by_weighting = by_weighting + p * (A[n - 1 - p] * C[p])
+    if by_subtraction != by_weighting:
+        raise InternalMismatch(f"C_{n} recurrences disagree")
+    return by_subtraction
+
+
 def c_poly(n: int) -> BivariatePoly:
     """C_n(x) = sum_k c_{n,k} x^k, computed by both companion recurrences
 
         C_n = A_n - sum_{p<n} A_{n-p} C_p
         C_n = sum_{p<n} p A_{n-1-p} C_p     (n >= 2)
 
-    and checked against the scalar triangle."""
+    which are checked against each other at every size."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n == 1:
-        return BivariatePoly.x()
-    by_subtraction = stirling_poly(n)
-    by_weighting = BivariatePoly.zero()
-    for p in range(1, n):
-        cp = c_poly(p)
-        by_subtraction = by_subtraction - stirling_poly(n - p) * cp
-        by_weighting = by_weighting + p * (stirling_poly(n - 1 - p) * cp)
-    if by_subtraction != by_weighting:
-        raise InternalMismatch(f"C_{n} recurrences disagree")
-    row = _c_rows(n)[n - 1]
-    triangle = BivariatePoly({(k, 0): v for k, v in row.items()})
-    if by_subtraction != triangle:
-        raise InternalMismatch(f"C_{n} does not match the scalar triangle")
-    return by_subtraction
+    return _entry(_C, n, _c_poly_step)
 
 
-@lru_cache(maxsize=None)
-def _i_table(m: int) -> tuple[int, ...]:
+def _i_count_step(i: list, m: int) -> int:
     # i_m = (2m-1)!! - sum_{p<m} i_p (2m-2p-1)!!
-    vals: list[int] = []
-    for t in range(1, m + 1):
-        v = double_factorial_odd(t) - sum(
-            vals[p - 1] * double_factorial_odd(t - p) for p in range(1, t)
-        )
-        vals.append(v)
-    return tuple(vals)
+    d = _DOUBLE_FACTORIALS
+    _entry(d, m, lambda t, j: t[j - 1] * (2 * j - 1))
+    return d[m] - sum(i[p] * d[m - p] for p in range(1, m))
 
 
 def i_count(m: int) -> int:
     """Indecomposable fixed-point-free involutions of S_{2m}: 1, 2, 10, 74, ..."""
     if m < 1:
         raise ValueError("need m >= 1")
-    return _i_table(m)[-1]
+    return _entry(_I_COUNTS, m, _i_count_step)
 
 
 # --- path polynomials -------------------------------------------------------------

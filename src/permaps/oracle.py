@@ -274,8 +274,8 @@ def _check_stirling_triangle(ctx: dict) -> dict | None:
                     "exhaustive_by_maxima": by_maxima.get(k, 0),
                     "formula": formula,
                 }
-            if c_poly(n).coefficient(k, 0) != formula:
-                return {"n": n, "k": k, "poly": c_poly(n).coefficient(k, 0)}
+        if c_poly(n).evaluate(1, 1) != c_count(n):
+            return {"n": n, "poly_at_1": c_poly(n).evaluate(1, 1), "count": c_count(n)}
     return None
 
 

@@ -2,10 +2,13 @@
 verified by independent derivation and exhaustive enumeration."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from permaps import enumpoly
 from permaps.enumpoly import (
     BivariatePoly,
     SeriesInZ,
@@ -168,6 +171,104 @@ def test_i_count():
         assert i_count(m) == double_factorial_odd(m) - sum(
             i_count(p) * double_factorial_odd(m - p) for p in range(1, m)
         )
+
+
+# the append-only counting tables, each with the number of seed entries it starts from
+_TABLES = {"_FACTORIALS": 1, "_DOUBLE_FACTORIALS": 1, "_A": 1, "_C": 2, "_C_COUNTS": 2, "_I_COUNTS": 1}
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Counting tables cut back to their seeds for one test; calling the
+    fixture's value cuts them back again.  The module's own tables return
+    afterwards."""
+    def reset():
+        for name, seeds in _TABLES.items():
+            monkeypatch.setattr(enumpoly, name, getattr(enumpoly, name)[:seeds])
+    reset()
+    return reset
+
+
+def test_c_count_check_catches_a_wrong_factorial(monkeypatch, fresh_tables):
+    # 3! enters c_3 only through the subtraction recurrence
+    monkeypatch.setattr(enumpoly, "_FACTORIALS", [1, 1, 2, 7])
+    assert c_count(2) == 1
+    with pytest.raises(InternalMismatch, match=r"^c_3: 4 != 3$"):
+        c_count(3)
+
+
+def test_c_poly_check_catches_a_wrong_stirling_poly(monkeypatch, fresh_tables):
+    # A_3 enters C_3 only through the subtraction recurrence
+    A = [stirling_poly(m) for m in range(4)]
+    A[3] = A[3] + BivariatePoly.x()
+    monkeypatch.setattr(enumpoly, "_A", A)
+    assert c_poly(2).to_string() == "x"
+    with pytest.raises(InternalMismatch, match=r"^C_3 recurrences disagree$"):
+        c_count_by_cycles(3, 1)
+
+
+def _assert_tables_aligned():
+    # a value stored at the wrong index breaks these identities
+    assert [a.evaluate(1, 1) for a in enumpoly._A] == [
+        math.factorial(m) for m in range(len(enumpoly._A))
+    ]
+    assert [p.evaluate(1, 1) for p in enumpoly._C[1:]] == [
+        c_count(n) for n in range(1, len(enumpoly._C))
+    ]
+
+
+def test_stirling_poly_beyond_the_recursion_limit(fresh_tables):
+    assert stirling_poly(600).evaluate(1, 1) == math.factorial(600)
+
+
+def test_tables_do_not_depend_on_call_order(fresh_tables):
+    def compute():
+        return (
+            [c_count_by_cycles(30, k) for k in range(1, 30)],
+            c_poly(10),
+            [stirling_number(40, k) for k in range(41)],
+            i_count(12),
+        )
+
+    top_down = compute()
+    _assert_tables_aligned()
+    fresh_tables()
+    for n in range(41):
+        stirling_poly(n)
+    for n in range(1, 31):
+        c_poly(n)
+    assert compute() == top_down
+
+
+def test_concurrent_growth_stores_aligned_entries(fresh_tables):
+    size, workers = 24, 4
+    expected = [c_poly(n) for n in range(1, size + 1)]
+    fresh_tables()
+    start = threading.Barrier(workers)
+    results, errors = [], []
+
+    def grow():
+        try:
+            start.wait(timeout=10)
+            results.append([c_poly(n) for n in range(size, 0, -1)][::-1])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [expected] * workers
+    assert enumpoly._C[1:] == expected
+    _assert_tables_aligned()
 
 
 # --- path polynomial families ------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from permaps import oracle
+from permaps.enumpoly import BivariatePoly, c_poly
 from permaps.errors import LimitExceeded
 from permaps.oracle import (
     FAULTS,
@@ -151,6 +152,16 @@ def test_transitive_probability_reuses_census_counts(monkeypatch, fault, scanned
     assert [r.check for r in report.results if r.status == "fail"] == (
         ["hypermap-census"] if fault else []
     )
+
+def test_stirling_triangle_checks_C_n_at_one(monkeypatch):
+    # C_n(1) = c_n ties the polynomial table to the scalar one; a wrong
+    # C_n seen only by the check shows as its own witness
+    monkeypatch.setattr(oracle, "c_poly", lambda n: c_poly(n) + BivariatePoly.monomial(n, 0))
+    report = verify_suite(max_n=3, pair_max_n=2, fpf_max_size=4)
+    assert [(r.check, r.witness) for r in report.results if r.status == "fail"] == [
+        ("stirling-triangle", {"n": 2, "poly_at_1": 2, "count": 1})
+    ]
+
 
 def test_verify_suite_json_and_text():
     report = verify_suite(max_n=2, pair_max_n=2, fpf_max_size=4)
