@@ -250,7 +250,8 @@ def test_concurrent_growth_stores_aligned_entries(fresh_tables):
     def grow():
         try:
             start.wait(timeout=10)
-            results.append([c_poly(n) for n in range(size, 0, -1)][::-1])
+            c_poly(size)  # grows every table it needs from its seeds
+            results.append([c_poly(n) for n in range(1, size + 1)])
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 

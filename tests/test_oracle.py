@@ -153,6 +153,7 @@ def test_transitive_probability_reuses_census_counts(monkeypatch, fault, scanned
         ["hypermap-census"] if fault else []
     )
 
+
 def test_stirling_triangle_checks_C_n_at_one(monkeypatch):
     # C_n(1) = c_n ties the polynomial table to the scalar one; a wrong
     # C_n seen only by the check shows as its own witness
