@@ -5,7 +5,9 @@ README's ``$ permaps ...`` examples, domain errors (exit 1), usage errors
 (exit 2) and ``--help`` texts.  Argv, exit code, stdout and stderr of
 each case are compared with ``tests/data/cli_golden.json``.  The cases
 run in-process through ``dispatch``; ``COLUMNS`` is pinned because
-argparse wraps usage text to the terminal width.
+argparse wraps usage text to the terminal width.  The stdout of the
+cases in ``DIGESTED`` (up to 5 MB of polynomial text) is stored as its
+sha256 and byte length.
 
 After an intended output change, rewrite the data file with
 
@@ -13,6 +15,7 @@ After an intended output change, rewrite the data file with
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -29,6 +32,15 @@ _PERM_FORMATS = ("plain", "json")
 def _in_formats(formats, *commands):
     return [[*argv, "--format", fmt] for argv in commands for fmt in formats]
 
+
+DIGESTED = _in_formats(
+    ("json",),
+    ["poly", "L", "--n", "64"],
+    ["poly", "Lprime", "--n", "64"],
+    ["poly", "M", "--m", "64"],
+    ["poly", "Mprime", "--m", "64"],
+    ["table", "joint", "--max-n", "64"],
+)
 
 CASES = [
     # the README examples, as written there (verify at its default sizes takes seconds)
@@ -105,6 +117,8 @@ CASES = [
         ["count", "maps", "--m", "64"],
         ["prob", "transitive", "--n", "63"],
     ),
+    # the path families and the joint table at the largest sizes the CLI accepts
+    *DIGESTED,
     # verify at the sizes the benchmark runs, with and without the injected fault
     *_in_formats(
         _PERM_FORMATS,
@@ -201,7 +215,12 @@ def run_case(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = dispatch(list(argv))
-    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    case = {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    if argv in DIGESTED:
+        stdout = case.pop("stdout").encode()
+        case["stdout_sha256"] = hashlib.sha256(stdout).hexdigest()
+        case["stdout_bytes"] = len(stdout)
+    return case
 
 
 def test_cli_golden(monkeypatch):
