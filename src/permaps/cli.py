@@ -13,35 +13,10 @@ import argparse
 import json
 import math
 import sys
+from importlib import import_module
 
-from .dyck import delta, delta_inverse, format_labeled_path, parse_labeled_path
-from .enumpoly import (
-    L_family,
-    M_family,
-    c_count,
-    c_count_by_cycles,
-    c_poly,
-    joint_perm_poly,
-    stirling_poly,
-    transitive_probability,
-)
+from . import __version__
 from .errors import LimitExceeded, PermapsError
-from .hypermap import (
-    Hypermap,
-    hypermap_to_json_dict,
-    hypermap_to_text,
-    phi_bijection,
-    psi,
-    psi_inverse,
-)
-from .maps import map_count, map_to_json_dict, psi_prime
-from .oracle import FAULTS, verify_suite
-from .perm import (
-    format_permutation,
-    fundamental_transform,
-    fundamental_transform_inverse,
-    parse_permutation,
-)
 
 __all__ = ["dispatch", "main"]
 
@@ -80,8 +55,30 @@ def _count(args, kind: str, value: int, params: dict, json_only: dict | None = N
     )
 
 
-# Outside the bijection table, handlers look library functions up as module
-# globals when they run, so replacing permaps.cli.<name> sees every call.
+def _lazy(path: str):
+    """The library function ``permaps.<module>.<name>`` named by ``path``,
+    whose module is imported at the first call, so that a command loads
+    only the modules it runs."""
+    module, name = path.split(".")
+
+    def call(*args, **kwargs):
+        return getattr(import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    return call
+
+
+# Outside the bijection table, handlers look these library functions up as
+# module globals when they run, so replacing permaps.cli.<name> sees every call.
+L_family = _lazy("enumpoly.L_family")
+M_family = _lazy("enumpoly.M_family")
+c_count = _lazy("enumpoly.c_count")
+c_count_by_cycles = _lazy("enumpoly.c_count_by_cycles")
+c_poly = _lazy("enumpoly.c_poly")
+joint_perm_poly = _lazy("enumpoly.joint_perm_poly")
+stirling_poly = _lazy("enumpoly.stirling_poly")
+transitive_probability = _lazy("enumpoly.transitive_probability")
+map_count = _lazy("maps.map_count")
+verify_suite = _lazy("oracle.verify_suite")
 
 
 # --- count -------------------------------------------------------------------
@@ -139,6 +136,7 @@ def _cmd_table_joint(args) -> int:
     _check_size("max-n", args.max_n)
     if args.max_n < 1:
         raise ValueError("need max-n >= 1")
+    joint_perm_poly(args.max_n)  # one walk to max-n yields every smaller n too
     polys = [(n, joint_perm_poly(n)) for n in range(1, args.max_n + 1)]
     return _emit(
         args,
@@ -151,29 +149,47 @@ def _cmd_table_joint(args) -> int:
 # --- bij ---------------------------------------------------------------------
 
 
+_parse_permutation = _lazy("perm.parse_permutation")
+
+
 def _parse_perm_arg(text: str):
     # cycle text starts with a parenthesis; anything else is one-line
     notation = "cycle" if text.lstrip().startswith("(") else "one-line"
-    return parse_permutation(text, notation=notation)
+    return _parse_permutation(text, notation=notation)
 
 
-_PERM_IN = {"perm": parse_permutation}
-_PERM_OUT = (format_permutation, lambda p: {"perm": list(p.images)})
+def _omr_inverse(sigma, alpha):
+    from .hypermap import Hypermap, psi_inverse
+
+    return psi_inverse(Hypermap(sigma, alpha))
+
+
+_PERM_IN = {"perm": _parse_permutation}
+_PERM_OUT = (_lazy("perm.format_permutation"), lambda p: {"perm": list(p.images)})
+_HYPERMAP_TEXT = _lazy("hypermap.hypermap_to_text")
 
 # subcommand: (parser of each input option, bijection, plain and JSON renderers)
 _BIJECTIONS = {
-    "omr": (_PERM_IN, psi, (hypermap_to_text, hypermap_to_json_dict)),
-    "omr-inv": (
-        {"sigma": _parse_perm_arg, "alpha": _parse_perm_arg},
-        lambda sigma, alpha: psi_inverse(Hypermap(sigma, alpha)),
-        _PERM_OUT,
+    "omr": (
+        _PERM_IN,
+        _lazy("hypermap.psi"),
+        (_HYPERMAP_TEXT, _lazy("hypermap.hypermap_to_json_dict")),
     ),
-    "fft": (_PERM_IN, fundamental_transform, _PERM_OUT),
-    "fft-inv": (_PERM_IN, fundamental_transform_inverse, _PERM_OUT),
-    "delta": (_PERM_IN, delta, (format_labeled_path, lambda lp: {"path": list(lp.word)})),
-    "delta-inv": ({"path": parse_labeled_path}, delta_inverse, _PERM_OUT),
-    "phi": (_PERM_IN, phi_bijection, _PERM_OUT),
-    "psi-prime": (_PERM_IN, psi_prime, (hypermap_to_text, map_to_json_dict)),
+    "omr-inv": ({"sigma": _parse_perm_arg, "alpha": _parse_perm_arg}, _omr_inverse, _PERM_OUT),
+    "fft": (_PERM_IN, _lazy("perm.fundamental_transform"), _PERM_OUT),
+    "fft-inv": (_PERM_IN, _lazy("perm.fundamental_transform_inverse"), _PERM_OUT),
+    "delta": (
+        _PERM_IN,
+        _lazy("dyck.delta"),
+        (_lazy("dyck.format_labeled_path"), lambda lp: {"path": list(lp.word)}),
+    ),
+    "delta-inv": (
+        {"path": _lazy("dyck.parse_labeled_path")}, _lazy("dyck.delta_inverse"), _PERM_OUT
+    ),
+    "phi": (_PERM_IN, _lazy("hypermap.phi_bijection"), _PERM_OUT),
+    "psi-prime": (
+        _PERM_IN, _lazy("maps.psi_prime"), (_HYPERMAP_TEXT, _lazy("maps.map_to_json_dict"))
+    ),
 }
 
 
@@ -230,13 +246,29 @@ def _cmd_verify(args) -> int:
 _SIZE_ARG = {"type": int, "required": True}  # a required --n, --m, --k or --max-n
 
 
+class _Faults:
+    """The choices of --inject-fault: oracle.FAULTS, imported only when
+    argparse checks a value or prints the verify usage."""
+
+    def __iter__(self):
+        from .oracle import FAULTS
+
+        return iter(FAULTS)
+
+    def __contains__(self, name) -> bool:
+        return name in tuple(self)
+
+
 def _command(sub, name: str, handler, options: dict, formats=("plain", "json", "csv"), **kwargs):
     """Add subcommand ``name`` with ``--<option>`` per entry of ``options``
     (its add_argument keywords), then ``--format``; ``kwargs`` (a help
     line) go to ``add_parser``."""
     p = sub.add_parser(name, **kwargs)
     for option, spec in options.items():
-        p.add_argument(f"--{option}", **spec)
+        # add_argument reads choices at once; set afterwards, they are read
+        # only when a value is checked or the usage is printed (see _Faults)
+        action = p.add_argument(f"--{option}", **{k: v for k, v in spec.items() if k != "choices"})
+        action.choices = spec.get("choices")
     p.add_argument("--format", choices=formats, default="plain")
     p.set_defaults(handler=handler)
 
@@ -246,6 +278,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="permaps",
         description="Exact counts, polynomials, and bijections for "
         "indecomposable permutations, hypermaps, and labeled Dyck paths.",
+    )
+    # kept out of --help and the usage line, whose bytes are pinned
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}", help=argparse.SUPPRESS
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -300,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "max-n": {"type": int, "default": 7},
         "pair-max-n": {"type": int, "default": 5},
         "fpf-max-size": {"type": int, "default": 10},
-        "inject-fault": {"choices": FAULTS, "default": None},
+        "inject-fault": {"choices": _Faults(), "default": None},
     }
     _command(sub, "verify", _cmd_verify, verify, _NO_CSV, help="run the exhaustive cross-check suite")
     return parser

@@ -105,6 +105,15 @@ class LabeledDyckPath:
         return format_labeled_path(self)
 
 
+def _labeled_path(word: tuple[str, ...], scheme: str) -> LabeledDyckPath:
+    """A LabeledDyckPath on tokens this module just wrote, all of them
+    well formed, built without the checks of ``LabeledDyckPath(...)``."""
+    lp = object.__new__(LabeledDyckPath)
+    object.__setattr__(lp, "word", word)
+    object.__setattr__(lp, "scheme", scheme)
+    return lp
+
+
 def validate_dyck(word: str) -> bool:
     """True for a balanced a/b word whose prefixes never dip below zero."""
     height = 0
@@ -298,7 +307,7 @@ def delta(p: Permutation) -> LabeledDyckPath:
         else:
             tokens.append(f"b{slots.rank(slot_of[i])}")
             slots.place(i, slot_of[i])
-    return LabeledDyckPath(tuple(tokens), DELTA)
+    return _labeled_path(tuple(tokens), DELTA)
 
 
 def delta_inverse(lp: LabeledDyckPath) -> Permutation:
@@ -349,7 +358,7 @@ def convert_label_scheme(lp: LabeledDyckPath) -> LabeledDyckPath:
                 out.append(f"b{na - nb + 1 - _label(tok)}")
             nb += 1
         prev = tok[0]
-    return LabeledDyckPath(tuple(out), RV if lp.scheme == DELTA else DELTA)
+    return _labeled_path(tuple(out), RV if lp.scheme == DELTA else DELTA)
 
 
 def enum_dyck_paths(n: int) -> Iterator[str]:
@@ -402,7 +411,7 @@ def enum_labelings(word: str, scheme: str = DELTA) -> Iterator[LabeledDyckPath]:
         toks = template[:]
         for pos, lab in zip(b_positions, combo):
             toks[pos] = f"b{lab}"
-        yield LabeledDyckPath(tuple(toks), scheme)
+        yield _labeled_path(tuple(toks), scheme)
 
 
 def count_labelings(word: str, scheme: str = DELTA) -> int:

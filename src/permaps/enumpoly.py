@@ -22,28 +22,36 @@ c_n and C_n are each produced by two independent recurrences that are
 cross-checked at every size (InternalMismatch on disagreement).  i_m
 has one recurrence; verify's map-counts check compares it with an
 exhaustive count of indecomposable fixed-point-free involutions, and
-M'_m(1) = i_m ties it to the M family.  The path families are
-cross-checked, for n <= 10, against the sum of the path weights over
-all Dyck paths, taken step by step with the paths that share a
-(height, last step) state merged.
+M'_m(1) = i_m ties it to the M family.
+
+The path families and joint_n come from one walk per family over
+(height, last step) states of Dyck paths, which sums the path weights
+with the paths that share a state merged; each state is one int that
+packs a polynomial's coefficients (Kronecker substitution), so a step
+is a shift or a shift and an add.  One walk to size N yields every
+size up to N.  The first-return recurrences check the walk exactly for
+sizes up to 10, and at every size L_n(1,1) = n!, L'_n(x,1) = C_n(x),
+joint_n(x,1) = A_n(x), M_m(1) = (2m-1)!!, M'_m(1) = i_m and the x/y
+symmetry of L'_n (n >= 2) and joint_n are checked.
 
 m!, (2m-1)!!, A_m, C_m, c_m and i_m each live in one append-only
 module-level list, grown iteratively up to the largest size asked for;
-entry m is computed from the entries below it.  Growth takes a lock and
-stored entries never change, so concurrent callers are safe.  The path
-families and joint_perm_poly are cached by functools.lru_cache.
+entry m is computed from the entries below it.  The path families and
+joint_n live in lists of the same kind, extended by one walk to the
+size asked for.  Growth takes a lock and stored entries never change,
+so concurrent callers are safe.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .dyck import validate_dyck
 from .errors import InternalMismatch, InvalidPath
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BivariatePoly",
@@ -220,6 +228,56 @@ class BivariatePoly:
         return cls({(int(t["x"]), int(t["y"])): int(t["c"]) for t in obj})
 
 
+def _poly(coeffs: dict[tuple[int, int], int]) -> BivariatePoly:
+    """A BivariatePoly on nonzero int coefficients keyed by pairs of
+    nonnegative int degrees, built without the checks of
+    ``BivariatePoly(...)``."""
+    p = object.__new__(BivariatePoly)
+    object.__setattr__(p, "_c", coeffs)
+    return p
+
+
+class _Packing:
+    """Kronecker substitution: a polynomial in x and y with nonnegative
+    coefficients below bound is one int, whose slot i*stride + j (for
+    j < stride) holds the coefficient of x^i y^j.  Slots are whole bytes
+    wide, so sums and products of packed polynomials whose coefficients
+    stay below bound are the packed sums and products, and unpacking
+    slices bytes.  A rule (see the path polynomials) adds the b steps of
+    a path walk: a shift for a peak monomial, a shift and an add for
+    y + height."""
+
+    def __init__(self, bound: int, stride: int, rule=None) -> None:
+        self.width = -(-bound.bit_length() // 8)
+        self.bits = 8 * self.width
+        self.stride = stride
+        self.peaks = rule and tuple(self.bits * (i * stride + j) for i, j in rule)
+
+    def pack(self, poly: BivariatePoly) -> int:
+        slots = [0] * (max((i * self.stride + j for i, j in poly._c), default=0) + 1)
+        for (i, j), c in poly._c.items():
+            slots[i * self.stride + j] = c
+        return int.from_bytes(b"".join(c.to_bytes(self.width, "little") for c in slots), "little")
+
+    def unpack(self, v: int, n: int) -> BivariatePoly:
+        """The polynomial packed in v, whose degrees are at most n."""
+        width, row = self.width, self.stride * self.width  # the bytes of one x degree
+        raw = v.to_bytes(-(-v.bit_length() // 8), "little")
+        coeffs = {}
+        for i, at in enumerate(range(0, min(len(raw), (n + 1) * row), row)):
+            for j in range(min(n + 1, self.stride)):
+                c = int.from_bytes(raw[at + j * width : at + (j + 1) * width], "little")
+                if c:
+                    coeffs[i, j] = c
+        return _poly(coeffs)
+
+    def b_step(self, v: int, height: int, after_a: bool) -> int:
+        """v times the weight of a b step that lands at height."""
+        if after_a and self.peaks:
+            return v << self.peaks[height == 0]
+        return (v << self.bits) + height * v
+
+
 class SeriesInZ:
     """Power series in z, truncated at a fixed order, with BivariatePoly
     coefficients.  Products truncate; all arithmetic stays exact."""
@@ -362,12 +420,20 @@ def stirling_number(n: int, k: int) -> int:
     return stirling_poly(n).coefficient(k, 0)
 
 
+def _factorial(m: int) -> int:
+    return _entry(_FACTORIALS, m, lambda f, j: f[j - 1] * j)
+
+
+def _double_factorial(m: int) -> int:
+    return _entry(_DOUBLE_FACTORIALS, m, lambda d, j: d[j - 1] * (2 * j - 1))
+
+
 def _c_count_step(c: list, m: int) -> int:
     # two recurrences, checked against each other at every size m >= 2:
     #   c_m = m! - sum_{p<m} c_p (m-p)!
     #   c_m = sum_{p<m} p c_p (m-1-p)!
+    _factorial(m)
     f = _FACTORIALS
-    _entry(f, m, lambda t, j: t[j - 1] * j)
     by_subtraction = f[m] - sum(c[p] * f[m - p] for p in range(1, m))
     by_weighting = sum(p * c[p] * f[m - 1 - p] for p in range(1, m))
     if by_subtraction != by_weighting:
@@ -395,16 +461,19 @@ def c_count_by_cycles(n: int, k: int) -> int:
 
 
 def _c_poly_step(C: list, n: int) -> BivariatePoly:
+    # both recurrences on packed A and C, so each product is one int
+    # product.  Every product and partial sum has nonnegative coefficients
+    # at most those of A_n, whose sum is n!, so no slot carries; C_n >= 0,
+    # so the subtraction borrows from no slot when the recurrences agree.
     stirling_poly(n)
-    A = _A
-    by_subtraction = A[n]
-    by_weighting = BivariatePoly.zero()
-    for p in range(1, n):
-        by_subtraction = by_subtraction - A[n - p] * C[p]
-        by_weighting = by_weighting + p * (A[n - 1 - p] * C[p])
+    pack = _Packing(_factorial(n), 1)
+    A = [pack.pack(a) for a in _A[: n + 1]]
+    Cp = [pack.pack(c) for c in C]
+    by_subtraction = A[n] - sum(A[n - p] * Cp[p] for p in range(1, n))
+    by_weighting = sum(p * A[n - 1 - p] * Cp[p] for p in range(1, n))
     if by_subtraction != by_weighting:
         raise InternalMismatch(f"C_{n} recurrences disagree")
-    return by_subtraction
+    return pack.unpack(by_weighting, n)
 
 
 def c_poly(n: int) -> BivariatePoly:
@@ -421,8 +490,8 @@ def c_poly(n: int) -> BivariatePoly:
 
 def _i_count_step(i: list, m: int) -> int:
     # i_m = (2m-1)!! - sum_{p<m} i_p (2m-2p-1)!!
+    _double_factorial(m)
     d = _DOUBLE_FACTORIALS
-    _entry(d, m, lambda t, j: t[j - 1] * (2 * j - 1))
     return d[m] - sum(i[p] * d[m - p] for p in range(1, m))
 
 
@@ -434,134 +503,215 @@ def i_count(m: int) -> int:
 
 
 # --- path polynomials -------------------------------------------------------------
+#
+# A b step's weight depends only on the height it lands at and on whether an a
+# came right before it (a peak): y + height, except that a peak weighs x in
+# the L family and in joint_n, where a peak landing at height 0 weighs x*y.
+# A rule names the (x, y) exponents of those two peak monomials, or is None
+# for the M family, which has no peak case.
 
-_PATH_SUM_LIMIT = 10
+_L_RULE = ((1, 0), (1, 0))
+_JOINT_RULE = ((1, 0), (1, 1))
+_M_RULE = None
+
+_RECURRENCE_LIMIT = 10  # the first-return recurrences are checked up to this size
 
 
-def _b_weight(height: int, after_a: bool, peak: BivariatePoly | None) -> BivariatePoly:
-    # the weight of a b step that lands at height: peak (when given)
-    # right after an a, otherwise y + height
-    if peak is not None and after_a:
-        return peak
-    return BivariatePoly({(0, 1): 1, (0, 0): height})
+def _path_packing(N: int, rule) -> _Packing:
+    # every coefficient of a path sum of size <= N is at most its value at
+    # x = y = 1: N! under the L and joint rules, (2N-1)!! under the M rule
+    return _Packing(_factorial(N) if rule else _double_factorial(N), N + 1, rule)
 
 
-def _path_weight(word: str, peak: BivariatePoly | None) -> BivariatePoly:
-    # product of the b-step weights along one word
+def _walk(N: int, rule, floor: int, skip: range = range(0)) -> list:
+    # [P_0, ..., P_N], None at the sizes in skip: P_n sums the path
+    # weights under rule over the Dyck words of length 2n that stay at
+    # height >= floor before their last step (floor 1: the primitive
+    # words).  Words that reach the same (height, last step) state share
+    # every later step weight, so the walk keeps one packed sum per state
+    # (Flajolet 1980): up[h] over the prefixes at height h that end in a,
+    # down[h] over the others.  A state is kept only while it can return
+    # to height 0 by step 2N, so each prefix starts some word of size
+    # <= N and its coefficients stay within the packing's bound.
+    pack = _path_packing(N, rule)
+    b_step = pack.b_step
+    up, down = [0] * (N + 2), [0] * (N + 2)
+    sums = [0] * (N + 1)
+    if floor:
+        up[1], start = 1, 1  # a primitive word opens with a
+    else:
+        down[0] = sums[0] = 1  # the empty word
+        start = 0
+    for i in range(start, 2 * N):  # i steps taken
+        rise = 2 * N - i - 2  # the highest height an a step may leave
+        next_up, next_down = [0] * (N + 2), [0] * (N + 2)
+        for h in range(i % 2, min(i, 2 * N - i) + 1, 2):
+            a, b = up[h], down[h]
+            if h <= rise:
+                next_up[h + 1] = a + b
+            if h > floor:
+                next_down[h - 1] = b_step(a, h - 1, True) + b_step(b, h - 1, False)
+            elif h:  # floor 1, height 1: the primitive word of size (i+1)/2 closes
+                sums[(i + 1) // 2] = b_step(a, 0, True) + b_step(b, 0, False)
+        up, down = next_up, next_down
+        if not floor and i % 2:
+            sums[(i + 1) // 2] = down[0]
+    return [None if n in skip else pack.unpack(v, n) for n, v in enumerate(sums)]
+
+
+def _path_weight(word: str, rule) -> BivariatePoly:
+    # product of the b-step weights along one word: the walk's step rule
+    # on a single path
+    from .dyck import validate_dyck
+
     if not validate_dyck(word):
         raise InvalidPath(f"not a Dyck word: {word!r}")
-    out = BivariatePoly.constant(1)
-    height = 0
-    prev = ""
+    pack = _path_packing(len(word) // 2, rule)
+    v, height, prev = 1, 0, ""
     for ch in word:
         if ch == "a":
             height += 1
         else:
             height -= 1
-            out = out * _b_weight(height, prev == "a", peak)
+            v = pack.b_step(v, height, prev == "a")
         prev = ch
-    return out
+    return pack.unpack(v, len(word) // 2)
 
 
 def L_of_path(word: str) -> BivariatePoly:
     """Product over the b steps of a Dyck word: x when the step follows
     an a, otherwise y + height-in-front; the labeling-count generating
     monomial weight of the path."""
-    return _path_weight(word, BivariatePoly.x())
+    return _path_weight(word, _L_RULE)
 
 
 def M_of_path(word: str) -> BivariatePoly:
     """Product over the b steps of y + height-in-front, with no special
     peak case; the map-labeling weight of the path."""
-    return _path_weight(word, None)
+    return _path_weight(word, _M_RULE)
 
 
-def _path_sum(n: int, peak: BivariatePoly | None, floor: int) -> BivariatePoly:
-    # sum of _path_weight over the Dyck words of length 2n that stay at
-    # height >= floor before their last step (floor 1: the primitive
-    # words).  A b step's weight depends only on the height and on the
-    # step before it, so the words that reach the same (height, last
-    # step) state after i steps share every suffix weight: their prefix
-    # sums merge, and the walk keeps one sum per state.
-    zero = BivariatePoly.zero()
-    states = {(0, ""): BivariatePoly.constant(1)}
-    for left in range(2 * n - 1, -1, -1):  # steps still to come after this one
-        low = floor if left else 0
-        nxt: dict[tuple[int, str], BivariatePoly] = {}
-        for (height, last), acc in states.items():
-            if height < left:
-                key = (height + 1, "a")
-                nxt[key] = nxt.get(key, zero) + acc
-            if height - 1 >= low:
-                key = (height - 1, "b")
-                nxt[key] = nxt.get(key, zero) + acc * _b_weight(height - 1, last == "a", peak)
-        states = nxt
-    return states[(0, "b")]
+def _expect(holds: bool, message: str) -> None:
+    if not holds:
+        raise InternalMismatch(message)
 
 
-def _path_family(name: str, size: str, n: int, family, peak: BivariatePoly | None):
-    # (all, primitive) polynomials at size n of the family whose b steps
-    # weigh _b_weight(..., peak); family is the public cached function,
-    # so the smaller sizes come from its cache
-    if n < 1:
-        raise ValueError(f"need {size} >= 1")
-    if n == 1:
-        total = prim = _path_weight("ab", peak)  # the only path of length 2
-    else:
-        prim = BivariatePoly.y() * family(n - 1)[0].subs_y_plus(1)
-        total = prim
-        for p in range(1, n):
-            total = total + family(p)[1] * family(n - p)[0]
-    if n <= _PATH_SUM_LIMIT:
-        if _path_sum(n, peak, 0) != total or _path_sum(n, peak, 1) != prim:
-            raise InternalMismatch(f"{name}-family recurrence vs path sum at {size}={n}")
+def _first_return(blocks: list, totals: list, n: int) -> BivariatePoly:
+    # sum_{p=1}^{n} blocks[p] * totals[n-p]: a word is a first block, then the rest
+    return sum((blocks[p] * totals[n - p] for p in range(1, n + 1)), BivariatePoly.zero())
+
+
+def _at_y_1(poly: BivariatePoly) -> BivariatePoly:
+    return BivariatePoly(((px, 0), v) for (px, _), v in poly._c.items())
+
+
+def _walk_pair(name: str, size: str, rule, first: int, N: int) -> tuple[list, list]:
+    # the walks over all and over primitive words up to size N; sizes
+    # first..N are new, and those up to _RECURRENCE_LIMIT are checked
+    # exactly against the first-return recurrences
+    #   P'_1 = the weight of ab,   P'_n = y * P_{n-1}(x, y+1)   (n >= 2)
+    #   P_n  = sum_{p=1}^{n} P'_p P_{n-p},   P_0 = 1
+    # which read every smaller size; the stored sizes above it are skipped
+    stored = range(_RECURRENCE_LIMIT + 1, first)
+    total, prim = _walk(N, rule, 0, stored), _walk(N, rule, 1, stored)
+    for n in range(first, min(N, _RECURRENCE_LIMIT) + 1):
+        if n == 1:
+            expected = BivariatePoly.monomial(*rule[1]) if rule else BivariatePoly.y()
+        else:
+            expected = BivariatePoly.y() * total[n - 1].subs_y_plus(1)
+        _expect(
+            prim[n] == expected and total[n] == _first_return(prim, total, n),
+            f"{name}-family recurrence vs path sum at {size}={n}",
+        )
     return total, prim
 
 
-@lru_cache(maxsize=None)
+def _L_entries(first: int, N: int) -> list:
+    L, Lp = _walk_pair("L", "n", _L_RULE, first, N)
+    for n in range(first, N + 1):
+        _expect(L[n].evaluate(1, 1) == _factorial(n), f"L_{n}(1,1) != {n}!")
+        _expect(_at_y_1(Lp[n]) == c_poly(n), f"L'_{n}(x,1) != C_{n}(x)")
+        _expect(n == 1 or Lp[n].swap_xy() == Lp[n], f"L'_{n} is not symmetric in x and y")
+    return list(zip(L, Lp))[first:]
+
+
+def _M_entries(first: int, N: int) -> list:
+    M, Mp = _walk_pair("M", "m", _M_RULE, first, N)
+    for m in range(first, N + 1):
+        _expect(M[m].evaluate(1, 1) == _double_factorial(m), f"M_{m}(1) != (2*{m}-1)!!")
+        _expect(Mp[m].evaluate(1, 1) == i_count(m), f"M'_{m}(1) != i_{m}")
+    return list(zip(M, Mp))[first:]
+
+
+def _joint_entries(first: int, N: int) -> list:
+    J = _walk(N, _JOINT_RULE, 0, range(_RECURRENCE_LIMIT + 1, first))
+    limit = min(N, _RECURRENCE_LIMIT)
+    blocks = [None, BivariatePoly.monomial(1, 1)] + [L_family(p)[1] for p in range(2, limit + 1)]
+    for n in range(first, N + 1):
+        if n <= limit:
+            _expect(J[n] == _first_return(blocks, J, n), f"joint recurrence vs path sum at n={n}")
+        _expect(_at_y_1(J[n]) == stirling_poly(n), f"joint_{n}(x,1) != A_{n}(x)")
+        _expect(J[n].swap_xy() == J[n], f"joint_{n} is not symmetric in x and y")
+    return J[first:]
+
+
+_L = [None]  # (L_n, L'_n); nothing at n = 0
+_M = [None]  # (M_m, M'_m)
+_JOINT = [None]  # joint_n
+
+
+def _walked(table: list, n: int, entries: Callable[[int, int], list]):
+    # entry n of a path-family table; entries(first, N) walks to size N
+    # and returns the entries for sizes first..N, checked
+    if n >= len(table):
+        with _GROWING:
+            if n >= len(table):
+                table.extend(entries(len(table), n))
+    return table[n]
+
+
 def L_family(n: int) -> tuple[BivariatePoly, BivariatePoly]:
-    """(L_n, L'_n): the path polynomials over all / primitive Dyck words
-    of length 2n, built by the coupled recurrences
+    """(L_n, L'_n): the sums of L_of_path over all / primitive Dyck words
+    of length 2n, from one walk over (height, last step) states.  For
+    n <= 10 they are checked against the coupled recurrences
 
         L'_n = y * L_{n-1}(x, y+1),   L'_1 = L_1 = x
         L_n  = L'_n + sum_{p<n} L'_p L_{n-p}
 
-    and cross-checked against the sum of L_of_path over all / primitive
-    Dyck words while n <= 10.
-    L'_n(x, 1) = C_n(x); L_n(1, 1) = n!; L'_n is x/y-symmetric for n >= 2."""
-    return _path_family("L", "n", n, L_family, BivariatePoly.x())
+    and at every n against L_n(1, 1) = n!, L'_n(x, 1) = C_n(x) and, for
+    n >= 2, the x/y symmetry of L'_n."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return _walked(_L, n, _L_entries)
 
 
-@lru_cache(maxsize=None)
 def M_family(m: int) -> tuple[BivariatePoly, BivariatePoly]:
-    """(M_m, M'_m): the map polynomials over all / primitive Dyck words
-    of length 2m, built by
+    """(M_m, M'_m): the sums of M_of_path over all / primitive Dyck words
+    of length 2m, from one walk over (height, last step) states.  For
+    m <= 10 they are checked against
 
         M'_m = y * M_{m-1}(y+1),   M'_1 = M_1 = y
         M_m  = M'_m + sum_{p<m} M'_p M_{m-p}
 
-    and cross-checked against the sum of M_of_path over all / primitive
-    Dyck words while m <= 10.
-    M_m(1) = (2m-1)!!; M'_m(1) = i_m."""
-    return _path_family("M", "m", m, M_family, None)
+    and at every m against M_m(1) = (2m-1)!! and M'_m(1) = i_m."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    return _walked(_M, m, _M_entries)
 
 
-@lru_cache(maxsize=None)
 def joint_perm_poly(n: int) -> BivariatePoly:
     """Joint distribution of S_n by (cycles -> x, left-to-right maxima -> y).
 
     Composed from indecomposable blocks: a 1-point block weighs x*y (one
-    cycle, one maximum) and a p-point block, p >= 2, weighs L'_p; the
-    z^n coefficient of 1/(1 - sum_p block_p z^p) is the answer.  The
-    result is symmetric in x and y.
+    cycle, one maximum) and a p-point block, p >= 2, weighs L'_p.  That is
+    the L walk with a peak landing at height 0 weighing x*y, which is
+    how it is computed; for n <= 10 it is checked against the block
+    composition, and at every n against joint_n(x, 1) = A_n(x) and its
+    x/y symmetry.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    coeffs = [BivariatePoly.zero(), BivariatePoly.monomial(1, 1)]
-    for p in range(2, n + 1):
-        coeffs.append(L_family(p)[1])
-    blocks = SeriesInZ(coeffs, n)
-    return blocks.inverse_one_minus().coefficient(n)
+    return _walked(_JOINT, n, _joint_entries)
 
 
 def transitive_probability(n: int) -> Fraction:
@@ -569,6 +719,8 @@ def transitive_probability(n: int) -> Fraction:
     transitively: c_{n+1} / (n * n!), exactly."""
     if n < 1:
         raise ValueError("need n >= 1")
+    from fractions import Fraction  # imported here: no other command needs it
+
     return Fraction(c_count(n + 1), n * math.factorial(n))
 
 

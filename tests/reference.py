@@ -1,17 +1,21 @@
 """Straightforward reference forms of the slot bijection, the canonical
-scan and the permutation primitives, for tests to compare the fast
-library versions against.
+scan, the permutation primitives and the path polynomial families, for
+tests to compare the fast library versions against.
 
 The slot and scan forms rebuild the free-slot list, search for the pivot
 and rescan the written word at every step, so they are quadratic or
 worse.  The primitives evaluate ``p(i)`` point by point, rotate and sort
-cycles, and join components with union-find.  They live with the tests
+cycles, and join components with union-find.  The path families come
+from their first-return recurrences on dict polynomials, and the joint
+table from the inverse of a series in z, with O(n) polynomial products
+per size.  They live with the tests
 rather than in the package so that ``import permaps`` does not load code
 only tests run.
 """
 
 from __future__ import annotations
 
+from permaps.enumpoly import BivariatePoly, SeriesInZ
 from permaps.dyck import DELTA, LabeledDyckPath, format_labeled_path, validate_labeling
 from permaps.errors import (
     InternalMismatch,
@@ -229,3 +233,26 @@ def reference_is_transitive(pair: PermPair) -> bool:
                 parent[rb] = rc
                 components -= 1
     return components == 1
+
+
+def reference_path_families(N: int, peak: BivariatePoly | None):
+    """([P_0..P_N], [P'_0..P'_N]) from the coupled first-return recurrences
+
+        P'_1 = peak (y when None),   P'_n = y * P_{n-1}(x, y+1)
+        P_n  = sum_{p=1}^{n} P'_p P_{n-p},   P_0 = 1
+
+    with peak x for the L family and None for the M family."""
+    y = BivariatePoly.y()
+    total, prim = [BivariatePoly.constant(1)], [BivariatePoly.zero()]
+    for n in range(1, N + 1):
+        prim.append((y if peak is None else peak) if n == 1 else y * total[n - 1].subs_y_plus(1))
+        total.append(sum((prim[p] * total[n - p] for p in range(1, n + 1)), BivariatePoly.zero()))
+    return total, prim
+
+
+def reference_joint(l_prime: list[BivariatePoly]) -> SeriesInZ:
+    """1 / (1 - sum_p block_p z^p) through z^N, given [L'_0..L'_N], with
+    block_1 = x*y and block_p = L'_p for p >= 2; its z^n coefficient is
+    joint_n."""
+    blocks = [BivariatePoly.zero(), BivariatePoly.monomial(1, 1), *l_prime[2:]]
+    return SeriesInZ(blocks, len(l_prime) - 1).inverse_one_minus()

@@ -231,6 +231,15 @@ def test_cli_golden(monkeypatch):
         assert run_case(case["argv"]) == case
 
 
+def test_version(monkeypatch):
+    # not in the data file, which pins the output from before --version;
+    # the flag is kept out of --help and the usage line, so those stay pinned
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_case(["--version"]) == {
+        "argv": ["--version"], "code": 0, "stdout": "permaps 0.1.0\n", "stderr": ""
+    }
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     DATA.write_text(json.dumps([run_case(argv) for argv in CASES], indent=1) + "\n")

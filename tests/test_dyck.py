@@ -2,6 +2,7 @@
 conversion, and enumeration."""
 
 import itertools
+import math
 
 import pytest
 
@@ -215,3 +216,24 @@ def test_parse_format_round_trip():
         parse_labeled_path("")
     with pytest.raises(ParseError):
         parse_labeled_path("a b")
+
+
+def test_trusted_construction_equals_the_checked_one():
+    # delta, convert_label_scheme and enum_labelings build their paths
+    # without re-running the token checks; every path with n <= 6
+    def checked(lp):
+        again = LabeledDyckPath(lp.word, lp.scheme)
+        assert type(lp.word) is tuple and lp == again and hash(lp) == hash(again)
+        assert str(lp) == str(again)
+        return lp
+
+    for n in range(7):
+        labelings = 0
+        for word in enum_dyck_paths(n):
+            for scheme in (DELTA, RV):
+                for lp in enum_labelings(word, scheme):
+                    checked(convert_label_scheme(checked(lp)))
+                    labelings += 1
+        assert labelings == 2 * math.factorial(n)
+        for p in all_perms(n) if n else ():
+            checked(delta(p))

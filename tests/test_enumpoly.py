@@ -28,8 +28,9 @@ from permaps.enumpoly import (
     transitive_probability,
 )
 from permaps.dyck import enum_dyck_paths, is_primitive
-from permaps.enumpoly import _path_sum
+from permaps.enumpoly import _walk
 from permaps.errors import InternalMismatch, InvalidPath
+from reference import reference_joint, reference_path_families
 
 
 # --- polynomial type ---------------------------------------------------------
@@ -173,8 +174,12 @@ def test_i_count():
         )
 
 
-# the append-only counting tables, each with the number of seed entries it starts from
-_TABLES = {"_FACTORIALS": 1, "_DOUBLE_FACTORIALS": 1, "_A": 1, "_C": 2, "_C_COUNTS": 2, "_I_COUNTS": 1}
+# the append-only tables, each with the number of seed entries it starts from
+_PATH_TABLES = {"_L": 1, "_M": 1, "_JOINT": 1}
+_TABLES = {
+    "_FACTORIALS": 1, "_DOUBLE_FACTORIALS": 1, "_A": 1, "_C": 2, "_C_COUNTS": 2, "_I_COUNTS": 1,
+    **_PATH_TABLES,
+}
 
 
 @pytest.fixture
@@ -355,26 +360,36 @@ def test_M_family_specializations():
 
 
 @pytest.mark.parametrize(
-    "peak, of_path", [(BivariatePoly.x(), L_of_path), (None, M_of_path)], ids=["L", "M"]
+    "rule, of_path", [(enumpoly._L_RULE, L_of_path), (enumpoly._M_RULE, M_of_path)], ids=["L", "M"]
 )
-def test_state_merged_path_sum_matches_per_word_sum(peak, of_path):
+def test_state_merged_path_sum_matches_per_word_sum(rule, of_path):
+    every_size, primitive_size = _walk(8, rule, 0), _walk(8, rule, 1)
     for n in range(1, 9):
         words = list(enum_dyck_paths(n))
         every = sum((of_path(w) for w in words), BivariatePoly.zero())
         primitive = sum(
             (of_path(w) for w in words if is_primitive(w)), BivariatePoly.zero()
         )
-        assert _path_sum(n, peak, 0) == every
-        assert _path_sum(n, peak, 1) == primitive
+        assert every_size[n] == every
+        assert primitive_size[n] == primitive
+
+
+def test_walk_matches_the_recurrences_up_to_30():
+    # the first-return recurrences and the series inverse that produced
+    # the families before the walk, on dict polynomials
+    L, Lp = reference_path_families(30, BivariatePoly.x())
+    M, Mp = reference_path_families(30, None)
+    joint = reference_joint(Lp)
+    for n in range(1, 31):
+        assert L_family(n) == (L[n], Lp[n])
+        assert M_family(n) == (M[n], Mp[n])
+        assert joint_perm_poly(n) == joint.coefficient(n)
 
 
 @pytest.fixture
-def fresh_path_families():
-    L_family.cache_clear()
-    M_family.cache_clear()
-    yield
-    L_family.cache_clear()
-    M_family.cache_clear()
+def fresh_path_families(monkeypatch):
+    for name, seeds in _PATH_TABLES.items():
+        monkeypatch.setattr(enumpoly, name, getattr(enumpoly, name)[:seeds])
 
 
 def test_path_sum_check_catches_a_wrong_recurrence(monkeypatch, fresh_path_families):
@@ -388,6 +403,108 @@ def test_path_sum_check_catches_a_wrong_recurrence(monkeypatch, fresh_path_famil
     assert L_family(2)[1].to_string() == "x*y"
     with pytest.raises(InternalMismatch, match="recurrence vs path sum at n=3"):
         L_family(3)
+
+
+# Each identity the walks are checked against at every size, shown failing:
+# a wrong value on the identity's other side, or a wrong walk above the
+# sizes the recurrences check.
+
+
+def test_walk_check_catches_a_wrong_factorial(monkeypatch, fresh_tables):
+    monkeypatch.setattr(enumpoly, "_FACTORIALS", [1, 1, 2, 6, 25])
+    assert L_family(3)[0].evaluate(1, 1) == 6
+    with pytest.raises(InternalMismatch, match=r"^L_4\(1,1\) != 4!$"):
+        L_family(4)
+
+
+def test_walk_check_catches_a_wrong_cycle_polynomial(monkeypatch, fresh_tables):
+    c_poly(4)
+    C = enumpoly._C[:5]
+    C[4] = C[4] + BivariatePoly.x()
+    monkeypatch.setattr(enumpoly, "_C", C)
+    assert L_family(3)[1].to_string() == "x^2*y + x*y^2 + x*y"
+    with pytest.raises(InternalMismatch, match=r"^L'_4\(x,1\) != C_4\(x\)$"):
+        L_family(4)
+
+
+def test_walk_check_catches_a_wrong_stirling_poly(monkeypatch, fresh_tables):
+    L_family(4)  # C_4 is built from the true A_4
+    A = enumpoly._A[:5]
+    A[4] = A[4] + BivariatePoly.x()
+    monkeypatch.setattr(enumpoly, "_A", A)
+    assert joint_perm_poly(3).evaluate(1, 1) == 6
+    with pytest.raises(InternalMismatch, match=r"^joint_4\(x,1\) != A_4\(x\)$"):
+        joint_perm_poly(4)
+
+
+def test_walk_check_catches_a_wrong_double_factorial(monkeypatch, fresh_tables):
+    i_count(3)  # i_3 is built from the true 5!!
+    monkeypatch.setattr(enumpoly, "_DOUBLE_FACTORIALS", [1, 1, 3, 16])
+    assert M_family(2)[0].evaluate(1, 1) == 3
+    with pytest.raises(InternalMismatch, match=r"^M_3\(1\) != \(2\*3-1\)!!$"):
+        M_family(3)
+
+
+def test_walk_check_catches_a_wrong_i_count(monkeypatch, fresh_tables):
+    monkeypatch.setattr(enumpoly, "_I_COUNTS", [0, 1, 2, 11])
+    assert M_family(2)[1].evaluate(1, 1) == 2
+    with pytest.raises(InternalMismatch, match=r"^M'_3\(1\) != i_3$"):
+        M_family(3)
+
+
+def test_walk_check_catches_an_asymmetric_L_prime(monkeypatch, fresh_tables):
+    # a peak landing above height 0 weighing x*y keeps L_n(1,1) = n! and
+    # L'_n(x,1) = C_n(x); only the symmetry of L'_n goes
+    monkeypatch.setattr(enumpoly, "_RECURRENCE_LIMIT", 0)
+    monkeypatch.setattr(enumpoly, "_L_RULE", ((1, 1), (1, 0)))
+    assert L_family(1)[1].to_string() == "x"
+    with pytest.raises(InternalMismatch, match=r"^L'_2 is not symmetric in x and y$"):
+        L_family(2)
+
+
+def test_joint_checks_catch_a_wrong_peak_at_height_0(monkeypatch, fresh_tables):
+    # x for a peak landing at height 0 where the joint walk asks for x*y:
+    # the block recurrence sees it, and above the recurrence sizes the
+    # symmetry check does (joint_n(x,1) = A_n(x) still holds)
+    monkeypatch.setattr(enumpoly, "_JOINT_RULE", enumpoly._L_RULE)
+    with pytest.raises(InternalMismatch, match=r"^joint recurrence vs path sum at n=1$"):
+        joint_perm_poly(1)
+    monkeypatch.setattr(enumpoly, "_RECURRENCE_LIMIT", 0)
+    with pytest.raises(InternalMismatch, match=r"^joint_1 is not symmetric in x and y$"):
+        joint_perm_poly(1)
+
+
+def test_concurrent_walks_store_aligned_entries(fresh_tables):
+    sizes = [12, 3, 9, 1, 7, 12, 5, 10]
+    expected = [joint_perm_poly(n) for n in range(1, 13)]
+    fresh_tables()
+    start = threading.Barrier(len(sizes))
+    results, errors = [], []
+
+    def grow(n):
+        try:
+            start.wait(timeout=10)
+            results.append((n, joint_perm_poly(n)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(n,)) for n in sizes]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sorted(results, key=lambda r: r[0]) == [(n, expected[n - 1]) for n in sorted(sizes)]
+    assert enumpoly._JOINT[1:] == expected
+    assert [p.evaluate(1, 1) for p in enumpoly._JOINT[1:]] == [
+        math.factorial(n) for n in range(1, 13)
+    ]
 
 # --- assembled series ----------------------------------------------------------------
 

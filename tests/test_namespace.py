@@ -1,4 +1,9 @@
-"""The package namespace: every public name, and no private one."""
+"""The package namespace: every public name, and no private one, resolved
+lazily, so that a command imports only the modules it runs."""
+
+import ast
+import subprocess
+import sys
 
 import permaps
 
@@ -44,3 +49,75 @@ def test_namespace_is_the_public_names():
     # the trusted constructors stay private to the package
     assert "_perm" not in permaps.__all__ and "_hypermap" not in permaps.__all__
     assert not hasattr(permaps, "_perm") and not hasattr(permaps, "_hypermap")
+
+
+# --- what a fresh interpreter imports ------------------------------------------------
+
+_COMPUTING = {"perm", "hypermap", "dyck", "enumpoly", "maps", "oracle"}
+
+
+def _python(env, *args) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+# ``python -m permaps ARGV`` through runpy, as ``-m`` runs it, then the
+# permaps submodules in sys.modules on stderr
+_RUN_MAIN = (
+    "import runpy, sys\n"
+    "sys.argv[0] = 'permaps'\n"
+    "try:\n"
+    "    runpy.run_module('permaps', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print(sorted(m for m in sys.modules if m.startswith('permaps.')), file=sys.stderr)\n"
+)
+
+
+def _imported(env, *argv) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run the CLI on argv in a fresh interpreter; the submodules it imported."""
+    done = _python(env, "-c", _RUN_MAIN, *argv)
+    last = done.stderr.splitlines()[-1]
+    return done, {name.split(".", 1)[1] for name in ast.literal_eval(last)}
+
+
+def test_import_loads_no_submodule(child_env):
+    code = "import sys, permaps; print(sorted(m for m in sys.modules if m.startswith('permaps')))"
+    assert _python(child_env, "-c", code).stdout == "['permaps']\n"
+
+
+def test_poly_command_loads_only_what_it_runs(child_env):
+    done, loaded = _imported(child_env, "poly", "A", "--n", "3")
+    assert done.returncode == 0
+    assert done.stdout == "x^3 + 3*x^2 + 2*x\n"
+    assert loaded == {"cli", "errors", "enumpoly"}
+
+
+def test_version_loads_no_computing_submodule(child_env):
+    done, loaded = _imported(child_env, "--version")
+    assert (done.returncode, done.stdout) == (0, f"permaps {permaps.__version__}\n")
+    assert not loaded & _COMPUTING
+
+
+def test_bij_and_verify_load_their_modules(child_env):
+    done, loaded = _imported(child_env, "bij", "delta", "--perm", "3,7,5,8,9,2,6,4,1")
+    assert (done.returncode, done.stdout) == (0, "a a a a b0 a a a b0 b1 a a b0 b4 b2 b1 b1 b1\n")
+    assert loaded & _COMPUTING == {"perm", "dyck"}
+    argv = ["verify", "--max-n", "3", "--pair-max-n", "3", "--fpf-max-size", "4"]
+    done, loaded = _imported(child_env, *argv, "--inject-fault", "skip-canonicalization")
+    assert done.returncode == 1 and "FAIL" in done.stdout
+    assert loaded >= _COMPUTING
+
+
+def test_star_import_and_dir_list_the_public_names(child_env):
+    code = (
+        "import permaps\n"
+        "ns = {}\n"
+        "exec('from permaps import *', ns)\n"
+        "ns.pop('__builtins__')\n"
+        "assert set(ns) == set(permaps.__all__), set(ns) ^ set(permaps.__all__)\n"
+        "assert set(permaps.__all__) <= set(dir(permaps))\n"
+        "print(len(permaps.__all__))\n"
+    )
+    done = _python(child_env, "-c", code)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{len(PUBLIC)}\n", "")
