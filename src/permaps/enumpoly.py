@@ -240,12 +240,12 @@ def _poly(coeffs: dict[tuple[int, int], int]) -> BivariatePoly:
 class _Packing:
     """Kronecker substitution: a polynomial in x and y with nonnegative
     coefficients below bound is one int, whose slot i*stride + j (for
-    j < stride) holds the coefficient of x^i y^j.  Slots are whole bytes
-    wide, so sums and products of packed polynomials whose coefficients
-    stay below bound are the packed sums and products, and unpacking
-    slices bytes.  A rule (see the path polynomials) adds the b steps of
-    a path walk: a shift for a peak monomial, a shift and an add for
-    y + height."""
+    j < stride) holds the coefficient of x^i y^j.  While every
+    coefficient stays below bound, int sums and products are the
+    polynomial sums and products.  Slots are whole bytes wide, so
+    unpacking slices bytes.  A rule (see the path polynomials) adds the
+    b steps of a path walk: a shift for a peak monomial, a shift and an
+    add for y + height."""
 
     def __init__(self, bound: int, stride: int, rule=None) -> None:
         self.width = -(-bound.bit_length() // 8)
