@@ -239,9 +239,9 @@ def _poly(coeffs: dict[tuple[int, int], int]) -> BivariatePoly:
 
 class _Packing:
     """Kronecker substitution: a polynomial in x and y with nonnegative
-    coefficients below bound is one int, whose slot i*stride + j (for
+    coefficients at most bound is one int, whose slot i*stride + j (for
     j < stride) holds the coefficient of x^i y^j.  While every
-    coefficient stays below bound, int sums and products are the
+    coefficient stays at most bound, int sums and products are the
     polynomial sums and products.  Slots are whole bytes wide, so
     unpacking slices bytes.  A rule (see the path polynomials) adds the
     b steps of a path walk: a shift for a peak monomial, a shift and an

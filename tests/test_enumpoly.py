@@ -462,6 +462,20 @@ def test_walk_check_catches_an_asymmetric_L_prime(monkeypatch, fresh_tables):
         L_family(2)
 
 
+def test_walk_checks_catch_slots_too_narrow(monkeypatch, fresh_tables):
+    # one-byte slots hold every coefficient up to n = 6 (6! = 720, spread
+    # over several terms); at n = 7 some state overflows into its
+    # neighbour slot, which the identities see above the recurrence sizes
+    monkeypatch.setattr(enumpoly, "_RECURRENCE_LIMIT", 0)
+    def one_byte(N, rule):
+        return enumpoly._Packing(255, N + 1, rule)
+
+    monkeypatch.setattr(enumpoly, "_path_packing", one_byte)
+    assert L_family(6)[0].evaluate(1, 1) == 720
+    with pytest.raises(InternalMismatch, match=r"^L_7\(1,1\) != 7!$"):
+        L_family(7)
+
+
 def test_joint_checks_catch_a_wrong_peak_at_height_0(monkeypatch, fresh_tables):
     # x for a peak landing at height 0 where the joint walk asks for x*y:
     # the block recurrence sees it, and above the recurrence sizes the
