@@ -14,6 +14,8 @@ labeled 1, and every label lies between 1 and |g|_a - |g|_b.  Either
 way a path with heights h_1..h_j ahead of its non-peak b's admits
 exactly prod (h_i + 1) labelings, and ``convert_label_scheme`` is the
 involution between the two schemes that fixes the underlying path.
+Every function here that reads a word walks it once, through
+``_b_steps``, and ``_labels`` is the one rule for admissible labels.
 
 ``delta`` encodes a permutation by scanning 1..n: a cycle minimum of a
 k-cycle contributes a^k b0 and opens a block of k slots (slot 0 taken by
@@ -37,6 +39,7 @@ comes from a queue of candidates that only moves forward.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -69,7 +72,7 @@ __all__ = [
 DELTA = "delta"
 RV = "rv"
 
-_TOKEN = re.compile(r"a|b\d+\Z")
+_TOKEN = re.compile(r"(?:a|b\d+)\Z")
 
 
 def _check_scheme(scheme: str) -> None:
@@ -114,63 +117,80 @@ def _labeled_path(word: tuple[str, ...], scheme: str) -> LabeledDyckPath:
     return lp
 
 
+def _b_steps(word: Sequence[str]) -> Iterator[tuple[int, int, int]]:
+    """(index, height in front, a's right before) for each b step of a
+    Dyck word, given as a string or as tokens; raises InvalidPath at the
+    first step after which the word cannot be completed as a Dyck word
+    (a step below zero, one too high to come back down in the steps
+    left, or one that is neither a nor b)."""
+    height = run = 0
+    last = len(word) - 1
+    for i, step in enumerate(word):
+        if step == "a":
+            height += 1
+            run += 1
+            if height > last - i:
+                break
+        elif height and step[0] == "b":
+            yield i, height, run
+            height -= 1
+            run = 0
+        else:
+            break
+    else:
+        return  # every height fitted the steps left, so the word ends at 0
+    raise InvalidPath(f"not a Dyck word: {word!r}")
+
+
+def _labels(scheme: str, height: int, peak: bool) -> range:
+    """The labels a b step admits under scheme, given the height in front
+    of it and whether an a comes right before it."""
+    if peak:
+        return range(0, 1) if scheme == DELTA else range(1, 2)
+    return range(1, height + 1)
+
+
 def validate_dyck(word: str) -> bool:
     """True for a balanced a/b word whose prefixes never dip below zero."""
-    height = 0
-    for ch in word:
-        if ch == "a":
-            height += 1
-        elif ch == "b":
-            height -= 1
-            if height < 0:
-                return False
-        else:
-            return False
-    return height == 0
+    try:
+        for _ in _b_steps(word):
+            pass
+    except InvalidPath:
+        return False
+    return True
 
 
 def is_primitive(word: str) -> bool:
     """True when the path only balances at the very end (length > 0)."""
-    if not validate_dyck(word):
-        raise InvalidPath(f"not a Dyck word: {word!r}")
-    if not word:
-        return False
-    height = 0
-    for ch in word[:-1]:
-        height += 1 if ch == "a" else -1
-        if height == 0:
-            return False
-    return True
+    closing = [i for i, height, _ in _b_steps(word) if height == 1]
+    return closing == [len(word) - 1]
 
 
-def _label(tok: str) -> int:
-    return int(tok[1:])
+def _checked_b_steps(lp: LabeledDyckPath) -> Iterator[tuple[int, int, int, int]]:
+    """``_b_steps`` of a labeled path with each step's label appended;
+    raises InvalidLabeling at the first label or step that breaks the
+    scheme or the Dyck word."""
+    word, scheme = lp.word, lp.scheme
+    try:
+        for i, height, run in _b_steps(word):
+            label = int(word[i][1:])
+            if label not in _labels(scheme, height, run > 0):
+                break
+            yield i, height, run, label
+        else:
+            return
+    except (InvalidPath, ValueError):  # ValueError: more digits than int() reads
+        pass
+    raise InvalidLabeling(f"not a valid {scheme} labeling: {format_labeled_path(lp)}")
 
 
 def validate_labeling(lp: LabeledDyckPath) -> bool:
     """Check every b label against the path shape and the scheme rules."""
-    if not validate_dyck(lp.underlying()):
+    try:
+        for _ in _checked_b_steps(lp):
+            pass
+    except InvalidLabeling:
         return False
-    na = nb = 0
-    prev = ""
-    for tok in lp.word:
-        if tok == "a":
-            na += 1
-        else:
-            lab = _label(tok)
-            if lp.scheme == DELTA:
-                if prev == "a":
-                    if lab != 0:
-                        return False
-                elif not 1 <= lab <= na - nb:
-                    return False
-            else:
-                if prev == "a" and lab != 1:
-                    return False
-                if not 1 <= lab <= na - nb:
-                    return False
-            nb += 1
-        prev = tok[0]
     return True
 
 
@@ -316,22 +336,17 @@ def delta_inverse(lp: LabeledDyckPath) -> Permutation:
         raise InvalidLabeling(f"expected scheme {DELTA!r}, got {lp.scheme!r}")
     if not lp.word:
         raise InvalidLabeling("empty word encodes no permutation")
-    if not validate_labeling(lp):
-        raise InvalidLabeling(f"not a valid delta labeling: {format_labeled_path(lp)}")
+    # the walk stops at the first bad step, before any block could run past
+    # the n slots, and a label it passes is at most the height in front,
+    # which is the number of free slots
     slots = _Slots(len(lp.word) // 2)
     element = 0
-    run_a = 0
-    for tok in lp.word:
-        if tok == "a":
-            run_a += 1
-            continue
+    for _, _, run, label in _checked_b_steps(lp):
         element += 1
-        lab = _label(tok)
-        if lab == 0:
-            slots.open_block(element, run_a)
+        if run:
+            slots.open_block(element, run)
         else:
-            slots.place(element, slots.select(lab))
-        run_a = 0
+            slots.place(element, slots.select(label))
     return slots.to_permutation()
 
 
@@ -342,22 +357,10 @@ def convert_label_scheme(lp: LabeledDyckPath) -> LabeledDyckPath:
     with label i and prefix g goes to |g|_a - |g|_b + 1 - i.  Applying
     the conversion twice gives back the input.
     """
-    if not validate_labeling(lp):
-        raise InvalidLabeling(f"not a valid {lp.scheme} labeling: {format_labeled_path(lp)}")
-    out: list[str] = []
-    na = nb = 0
-    prev = ""
-    for tok in lp.word:
-        if tok == "a":
-            na += 1
-            out.append("a")
-        else:
-            if prev == "a":
-                out.append("b1" if lp.scheme == DELTA else "b0")
-            else:
-                out.append(f"b{na - nb + 1 - _label(tok)}")
-            nb += 1
-        prev = tok[0]
+    out = list(lp.word)
+    peak = "b1" if lp.scheme == DELTA else "b0"
+    for i, height, run, label in _checked_b_steps(lp):
+        out[i] = peak if run else f"b{height + 1 - label}"
     return _labeled_path(tuple(out), RV if lp.scheme == DELTA else DELTA)
 
 
@@ -382,48 +385,29 @@ def enum_dyck_paths(n: int) -> Iterator[str]:
     return extend([], 0, 0)
 
 
-def _label_choices(word: str, scheme: str) -> list[tuple[int, ...]]:
-    choices: list[tuple[int, ...]] = []
-    na = nb = 0
-    prev = ""
-    for ch in word:
-        if ch == "a":
-            na += 1
-        else:
-            if prev == "a":
-                choices.append((0,) if scheme == DELTA else (1,))
-            else:
-                choices.append(tuple(range(1, na - nb + 1)))
-            nb += 1
-        prev = ch
+def _label_choices(word: str, scheme: str) -> list[tuple[int, range]]:
+    # the index of each b step and the labels it admits; a word that is
+    # not Dyck raises InvalidPath even when the scheme is unknown too
+    choices = [(i, _labels(scheme, height, run > 0)) for i, height, run in _b_steps(word)]
+    _check_scheme(scheme)
     return choices
 
 
 def enum_labelings(word: str, scheme: str = DELTA) -> Iterator[LabeledDyckPath]:
     """All valid labelings of a Dyck word under the given scheme."""
-    if not validate_dyck(word):
-        raise InvalidPath(f"not a Dyck word: {word!r}")
-    _check_scheme(scheme)
     choices = _label_choices(word, scheme)
-    b_positions = [i for i, ch in enumerate(word) if ch == "b"]
     template = list(word)
-    for combo in itertools.product(*choices):
+    for combo in itertools.product(*(labels for _, labels in choices)):
         toks = template[:]
-        for pos, lab in zip(b_positions, combo):
-            toks[pos] = f"b{lab}"
+        for (i, _), label in zip(choices, combo):
+            toks[i] = f"b{label}"
         yield _labeled_path(tuple(toks), scheme)
 
 
 def count_labelings(word: str, scheme: str = DELTA) -> int:
     """Number of valid labelings: the product of (height + 1) over
     non-peak b steps (identical for both schemes)."""
-    if not validate_dyck(word):
-        raise InvalidPath(f"not a Dyck word: {word!r}")
-    _check_scheme(scheme)
-    total = 1
-    for c in _label_choices(word, scheme):
-        total *= len(c)
-    return total
+    return math.prod(len(labels) for _, labels in _label_choices(word, scheme))
 
 
 def parse_labeled_path(text: str, scheme: str = DELTA) -> LabeledDyckPath:

@@ -48,7 +48,7 @@ import math
 import threading
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .errors import InternalMismatch, InvalidPath
+from .errors import InternalMismatch
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -561,21 +561,15 @@ def _walk(N: int, rule, floor: int, skip: range = range(0)) -> list:
 
 def _path_weight(word: str, rule) -> BivariatePoly:
     # product of the b-step weights along one word: the walk's step rule
-    # on a single path
-    from .dyck import validate_dyck
+    # on a single path, each step landing one below the height in front
+    from .dyck import _b_steps
 
-    if not validate_dyck(word):
-        raise InvalidPath(f"not a Dyck word: {word!r}")
-    pack = _path_packing(len(word) // 2, rule)
-    v, height, prev = 1, 0, ""
-    for ch in word:
-        if ch == "a":
-            height += 1
-        else:
-            height -= 1
-            v = pack.b_step(v, height, prev == "a")
-        prev = ch
-    return pack.unpack(v, len(word) // 2)
+    steps = list(_b_steps(word))  # a word that is not Dyck fails before any packing
+    pack = _path_packing(len(steps), rule)
+    v = 1
+    for _, height, run in steps:
+        v = pack.b_step(v, height - 1, run > 0)
+    return pack.unpack(v, len(steps))
 
 
 def L_of_path(word: str) -> BivariatePoly:

@@ -241,10 +241,6 @@ class VerifyReport:
 FAULTS = ("skip-canonicalization",)
 
 
-def _one_line(p: Permutation) -> str:
-    return format_permutation(p)
-
-
 def _check_indecomposable_count(ctx: dict) -> dict | None:
     for n in range(1, ctx["max_n"] + 1):
         exhaustive = sum(1 for p in enum_permutations(n) if is_indecomposable(p))
@@ -284,11 +280,11 @@ def _check_fundamental_transform(ctx: dict) -> dict | None:
         for p in enum_permutations(n):
             t = fundamental_transform(p)
             if fundamental_transform_inverse(t) != p:
-                return {"n": n, "perm": _one_line(p), "reason": "round trip"}
+                return {"n": n, "perm": format_permutation(p), "reason": "round trip"}
             if len(cycles(p).cycles) != len(lr_maxima(t)):
-                return {"n": n, "perm": _one_line(p), "reason": "statistic"}
+                return {"n": n, "perm": format_permutation(p), "reason": "statistic"}
             if is_indecomposable(p) != is_indecomposable(t):
-                return {"n": n, "perm": _one_line(p), "reason": "block structure"}
+                return {"n": n, "perm": format_permutation(p), "reason": "block structure"}
     return None
 
 
@@ -302,13 +298,13 @@ def _check_interval_split(ctx: dict) -> dict | None:
             count += 1
             h = psi(theta)
             if not satisfies_lemma1(h):
-                return {"size": size, "theta": _one_line(theta), "reason": "not canonical"}
+                return {"size": size, "theta": format_permutation(theta), "reason": "not canonical"}
             if len(cycles(h.alpha).cycles) != len(cycles(theta).cycles):
-                return {"size": size, "theta": _one_line(theta), "reason": "edge count"}
+                return {"size": size, "theta": format_permutation(theta), "reason": "edge count"}
             if len(cycles(h.sigma).cycles) != len(lr_maxima(theta)):
-                return {"size": size, "theta": _one_line(theta), "reason": "vertex count"}
+                return {"size": size, "theta": format_permutation(theta), "reason": "vertex count"}
             if psi_inverse(h) != theta:
-                return {"size": size, "theta": _one_line(theta), "reason": "round trip"}
+                return {"size": size, "theta": format_permutation(theta), "reason": "round trip"}
             images.add((h.sigma.images, h.alpha.images))
         if len(images) != count or count != c_count(size):
             return {"size": size, "images": len(images), "expected": c_count(size)}
@@ -320,11 +316,11 @@ def _check_statistic_swap(ctx: dict) -> dict | None:
         for p in enum_permutations(n):
             q = phi_bijection(p)
             if phi_bijection(q) != p:
-                return {"n": n, "perm": _one_line(p), "reason": "not involutive"}
+                return {"n": n, "perm": format_permutation(p), "reason": "not involutive"}
             if len(cycles(p).cycles) != len(lr_maxima(q)) or len(
                 cycles(q).cycles
             ) != len(lr_maxima(p)):
-                return {"n": n, "perm": _one_line(p), "reason": "statistic"}
+                return {"n": n, "perm": format_permutation(p), "reason": "statistic"}
     return None
 
 
@@ -342,8 +338,8 @@ def _check_hypermap_census(ctx: dict) -> dict | None:
             if phi(n) != n:
                 return {
                     "n": n,
-                    "sigma": _one_line(pair.sigma),
-                    "alpha": _one_line(pair.alpha),
+                    "sigma": format_permutation(pair.sigma),
+                    "alpha": format_permutation(pair.alpha),
                     "reason": "relabeling moves the root",
                 }
             if relabel is not None:
@@ -354,9 +350,9 @@ def _check_hypermap_census(ctx: dict) -> dict | None:
                 if (can.sigma, can.alpha) != (can2.sigma, can2.alpha):
                     return {
                         "n": n,
-                        "sigma": _one_line(pair.sigma),
-                        "alpha": _one_line(pair.alpha),
-                        "relabel": _one_line(relabel),
+                        "sigma": format_permutation(pair.sigma),
+                        "alpha": format_permutation(pair.alpha),
+                        "relabel": format_permutation(relabel),
                         "reason": "canonical form depends on the labeling",
                     }
             forms.add((can.sigma.images, can.alpha.images))
@@ -389,21 +385,21 @@ def _check_path_round_trip(ctx: dict) -> dict | None:
         for p in enum_permutations(n):
             w = delta(p)
             if len(w.word) != 2 * n or not validate_labeling(w):
-                return {"n": n, "perm": _one_line(p), "reason": "invalid word"}
+                return {"n": n, "perm": format_permutation(p), "reason": "invalid word"}
             if delta_inverse(w) != p:
-                return {"n": n, "perm": _one_line(p), "reason": "round trip"}
+                return {"n": n, "perm": format_permutation(p), "reason": "round trip"}
             b0 = sum(1 for t in w.word if t == "b0")
             b1 = sum(1 for t in w.word if t == "b1")
             fixed = sum(1 for i in range(1, n + 1) if p(i) == i)
             k = len(lr_maxima(p))
             if b0 != len(cycles(p).cycles):
-                return {"n": n, "perm": _one_line(p), "reason": "cycle count"}
+                return {"n": n, "perm": format_permutation(p), "reason": "cycle count"}
             if is_primitive(w.underlying()) != is_indecomposable(p):
-                return {"n": n, "perm": _one_line(p), "reason": "primitivity"}
+                return {"n": n, "perm": format_permutation(p), "reason": "primitivity"}
             if not b1 <= k <= b1 + fixed:
-                return {"n": n, "perm": _one_line(p), "reason": "maxima bound"}
+                return {"n": n, "perm": format_permutation(p), "reason": "maxima bound"}
             if n >= 2 and is_indecomposable(p) and b1 != k:
-                return {"n": n, "perm": _one_line(p), "reason": "maxima count"}
+                return {"n": n, "perm": format_permutation(p), "reason": "maxima count"}
             words.add(w.word)
         if len(words) != math.factorial(n):
             return {"n": n, "distinct": len(words), "expected": math.factorial(n)}
@@ -514,12 +510,12 @@ def _check_map_round_trip(ctx: dict) -> dict | None:
             count += 1
             mp = psi_prime(t)
             if not is_fpf_involution(mp.alpha):
-                return {"size": size, "theta": _one_line(t), "reason": "not a pairing"}
+                return {"size": size, "theta": format_permutation(t), "reason": "not a pairing"}
             vertices = len(cycles(mp.sigma).cycles)
             if vertices != len(lr_maxima(t)):
-                return {"size": size, "theta": _one_line(t), "reason": "vertex count"}
+                return {"size": size, "theta": format_permutation(t), "reason": "vertex count"}
             if psi_prime_inverse(mp) != t:
-                return {"size": size, "theta": _one_line(t), "reason": "round trip"}
+                return {"size": size, "theta": format_permutation(t), "reason": "round trip"}
             census[vertices] += 1
             images.add((mp.sigma.images, mp.alpha.images))
         if len(images) != count:

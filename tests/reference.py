@@ -8,18 +8,20 @@ worse.  The primitives evaluate ``p(i)`` point by point, rotate and sort
 cycles, and join components with union-find.  The path families come
 from their first-return recurrences on dict polynomials, and the joint
 table from the inverse of a series in z, with O(n) polynomial products
-per size.  They live with the tests
-rather than in the package so that ``import permaps`` does not load code
-only tests run.
+per size.  The labeling checks keep their own height counters, one
+loop per check, where the library reads every word through one step
+walker.  They live with the tests rather than in the package so that
+``import permaps`` does not load code only tests run.
 """
 
 from __future__ import annotations
 
 from permaps.enumpoly import BivariatePoly, SeriesInZ
-from permaps.dyck import DELTA, LabeledDyckPath, format_labeled_path, validate_labeling
+from permaps.dyck import DELTA, RV, LabeledDyckPath, format_labeled_path
 from permaps.errors import (
     InternalMismatch,
     InvalidLabeling,
+    InvalidPath,
     NotTransitive,
     PlacementOutOfRange,
 )
@@ -121,7 +123,7 @@ def reference_delta_inverse(lp: LabeledDyckPath) -> Permutation:
         raise InvalidLabeling(f"expected scheme {DELTA!r}, got {lp.scheme!r}")
     if not lp.word:
         raise InvalidLabeling("empty word encodes no permutation")
-    if not validate_labeling(lp):
+    if not reference_validate_labeling(lp):
         raise InvalidLabeling(f"not a valid delta labeling: {format_labeled_path(lp)}")
     state = _ReferenceSlots()
     element = 0
@@ -144,6 +146,90 @@ def reference_delta_inverse(lp: LabeledDyckPath) -> Permutation:
             state.place(element, c, s)
         run_a = 0
     return state.to_permutation()
+
+
+def _reference_is_dyck(word) -> bool:
+    height = 0
+    for step in word:
+        if step == "a":
+            height += 1
+        elif step[0] == "b":
+            height -= 1
+            if height < 0:
+                return False
+        else:
+            return False
+    return height == 0
+
+
+def reference_validate_labeling(lp: LabeledDyckPath) -> bool:
+    """``dyck.validate_labeling``: the Dyck check, then the labels with
+    their own counts of a's and b's."""
+    if not _reference_is_dyck(lp.word):
+        return False
+    na = nb = 0
+    prev = ""
+    for tok in lp.word:
+        if tok == "a":
+            na += 1
+        else:
+            lab = int(tok[1:])
+            if lp.scheme == DELTA:
+                if prev == "a":
+                    if lab != 0:
+                        return False
+                elif not 1 <= lab <= na - nb:
+                    return False
+            else:
+                if prev == "a" and lab != 1:
+                    return False
+                if not 1 <= lab <= na - nb:
+                    return False
+            nb += 1
+        prev = tok[0]
+    return True
+
+
+def reference_convert_label_scheme(lp: LabeledDyckPath) -> LabeledDyckPath:
+    """``dyck.convert_label_scheme``: validate first, then rewrite."""
+    if not reference_validate_labeling(lp):
+        raise InvalidLabeling(f"not a valid {lp.scheme} labeling: {format_labeled_path(lp)}")
+    out: list[str] = []
+    na = nb = 0
+    prev = ""
+    for tok in lp.word:
+        if tok == "a":
+            na += 1
+            out.append("a")
+        else:
+            if prev == "a":
+                out.append("b1" if lp.scheme == DELTA else "b0")
+            else:
+                out.append(f"b{na - nb + 1 - int(tok[1:])}")
+            nb += 1
+        prev = tok[0]
+    return LabeledDyckPath(tuple(out), RV if lp.scheme == DELTA else DELTA)
+
+
+def reference_count_labelings(word: str, scheme: str = DELTA) -> int:
+    """``dyck.count_labelings``: one factor per b step, the height in
+    front for a non-peak, 1 for a peak."""
+    if not _reference_is_dyck(word):
+        raise InvalidPath(f"not a Dyck word: {word!r}")
+    if scheme not in (DELTA, RV):
+        raise ValueError(f"unknown labeling scheme: {scheme!r}")
+    total = 1
+    na = nb = 0
+    prev = ""
+    for ch in word:
+        if ch == "a":
+            na += 1
+        else:
+            if prev != "a":
+                total *= na - nb
+            nb += 1
+        prev = ch
+    return total
 
 
 def reference_canonical_rooted_form(h: PermPair) -> tuple[Hypermap, Permutation]:

@@ -141,6 +141,7 @@ CASES = [
     ["bij", "delta", "--perm", "2,2"],
     ["bij", "delta-inv", "--path", "a b1"],
     ["bij", "delta-inv", "--path", "a x"],
+    ["bij", "delta-inv", "--path", "a ab"],
     ["bij", "phi", "--perm", "3,1"],
     ["bij", "psi-prime", "--perm", "2,3,4,1"],
     ["bij", "psi-prime", "--perm", "2,1,4,3"],

@@ -3,8 +3,11 @@ conversion, and enumeration."""
 
 import itertools
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permaps.dyck import (
     DELTA,
@@ -22,8 +25,20 @@ from permaps.dyck import (
     validate_dyck,
     validate_labeling,
 )
-from permaps.errors import InvalidLabeling, InvalidPath, ParseError, PlacementOutOfRange
+from permaps.errors import (
+    InvalidLabeling,
+    InvalidPath,
+    ParseError,
+    PermapsError,
+    PlacementOutOfRange,
+)
 from permaps.perm import Permutation, cycles, identity, is_indecomposable, lr_maxima
+from reference import (
+    reference_convert_label_scheme,
+    reference_count_labelings,
+    reference_delta_inverse,
+    reference_validate_labeling,
+)
 
 
 def all_perms(n):
@@ -57,6 +72,9 @@ def test_token_syntax():
         LabeledDyckPath(("a", "b"), DELTA)
     with pytest.raises(ParseError):
         LabeledDyckPath(("c",), DELTA)
+    for tok in ("ab0", "ax", "a1"):  # an a token is "a" and nothing more
+        with pytest.raises(ParseError):
+            LabeledDyckPath(("a", tok), DELTA)
     with pytest.raises(ValueError):
         LabeledDyckPath(("a", "b0"), "other")
 
@@ -73,6 +91,13 @@ def test_validate_labeling_delta():
     # underlying word must be Dyck
     assert not validate_labeling(LabeledDyckPath(("b0",), DELTA))
     assert not validate_labeling(LabeledDyckPath(("a", "b0", "b1"), DELTA))
+    # a label too long for int() is out of range, not a crash
+    huge = LabeledDyckPath(("a", "a", "b0", "b" + "1" * 5000), DELTA)
+    assert not validate_labeling(huge)
+    with pytest.raises(InvalidLabeling):
+        delta_inverse(huge)
+    with pytest.raises(InvalidLabeling):
+        convert_label_scheme(huge)
 
 
 def test_validate_labeling_rv():
@@ -237,3 +262,67 @@ def test_trusted_construction_equals_the_checked_one():
         assert labelings == 2 * math.factorial(n)
         for p in all_perms(n) if n else ():
             checked(delta(p))
+
+
+# --- against the hand-rolled reference checks -------------------------------------
+
+
+def random_labeled_path(rng, n, scheme):
+    """A random Dyck word of semilength n, half the time with one step
+    flipped, dropped or inserted; its labels are admissible under scheme,
+    except that half the paths draw some labels from 0..h+1 instead (h
+    the height in front of the step)."""
+    steps, height, ups = [], 0, 0
+    while len(steps) < 2 * n:
+        up = ups < n and (height == 0 or rng.random() < 0.5)
+        steps.append("a" if up else "b")
+        height += 1 if up else -1
+        ups += up
+    if steps and rng.random() < 0.5:
+        i = rng.randrange(len(steps))
+        kind = rng.choice(("flip", "drop", "insert"))
+        if kind == "flip":
+            steps[i] = "b" if steps[i] == "a" else "a"
+        elif kind == "drop":
+            del steps[i]
+        else:
+            steps.insert(i, rng.choice("ab"))
+    noise = rng.choice((0.0, 1.0 / len(steps) if steps else 0.0, 0.5))
+    tokens, height = [], 0
+    for i, step in enumerate(steps):
+        if step == "a":
+            tokens.append("a")
+            height += 1
+            continue
+        top = max(height, 0)
+        if rng.random() < noise:
+            label = rng.randint(0, top + 1)
+        elif i and steps[i - 1] == "a":
+            label = 0 if scheme == DELTA else 1
+        else:
+            label = rng.randint(1, max(top, 1))
+        tokens.append(f"b{label}")
+        height -= 1
+    return LabeledDyckPath(tuple(tokens), scheme)
+
+
+def outcome(f, *args):
+    """What f returns, or the type and message of the declared error it raises."""
+    try:
+        return f(*args)
+    except PermapsError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 200), st.sampled_from((DELTA, RV)), st.integers(0, 2**32).map(random.Random))
+def test_labelings_match_reference(n, scheme, rng):
+    lp = random_labeled_path(rng, n, scheme)
+    assert validate_labeling(lp) == reference_validate_labeling(lp)
+    assert outcome(convert_label_scheme, lp) == outcome(reference_convert_label_scheme, lp)
+    word = lp.underlying()
+    assert outcome(count_labelings, word, scheme) == outcome(
+        reference_count_labelings, word, scheme
+    )
+    if scheme == DELTA:
+        assert outcome(delta_inverse, lp) == outcome(reference_delta_inverse, lp)
