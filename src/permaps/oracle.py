@@ -55,9 +55,10 @@ from .hypermap import (
     psi_inverse,
     satisfies_lemma1,
 )
-from .maps import is_fpf_involution, map_count, psi_prime, psi_prime_inverse
+from .maps import is_fpf_involution, psi_prime, psi_prime_inverse
 from .perm import (
     Permutation,
+    _perm,
     conjugate,
     cycles,
     format_permutation,
@@ -88,7 +89,7 @@ def enum_permutations(n: int) -> Iterator[Permutation]:
     if n < 1:
         raise ValueError("need n >= 1")
     for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
+        yield _perm(images)
 
 
 def enum_fpf_involutions(n: int) -> Iterator[Permutation]:
@@ -111,7 +112,7 @@ def enum_fpf_involutions(n: int) -> Iterator[Permutation]:
         img = [0] * (n + 1)
         for a, b in pairs:
             img[a], img[b] = b, a
-        yield Permutation(tuple(img[1:]))
+        yield _perm(tuple(img[1:]))
 
 
 @dataclass
@@ -243,7 +244,7 @@ FAULTS = ("skip-canonicalization",)
 
 def _check_indecomposable_count(ctx: dict) -> dict | None:
     for n in range(1, ctx["max_n"] + 1):
-        exhaustive = sum(1 for p in enum_permutations(n) if is_indecomposable(p))
+        exhaustive = ctx["tables"](n).project(("indecomposable",)).get(True, 0)
         if exhaustive != c_count(n):
             return {"n": n, "exhaustive": exhaustive, "formula": c_count(n)}
     return None
@@ -290,7 +291,6 @@ def _check_fundamental_transform(ctx: dict) -> dict | None:
 
 def _check_interval_split(ctx: dict) -> dict | None:
     for size in range(2, ctx["max_n"] + 2):
-        images = set()
         count = 0
         for theta in enum_permutations(size):
             if not is_indecomposable(theta):
@@ -305,9 +305,8 @@ def _check_interval_split(ctx: dict) -> dict | None:
                 return {"size": size, "theta": format_permutation(theta), "reason": "vertex count"}
             if psi_inverse(h) != theta:
                 return {"size": size, "theta": format_permutation(theta), "reason": "round trip"}
-            images.add((h.sigma.images, h.alpha.images))
-        if len(images) != count or count != c_count(size):
-            return {"size": size, "images": len(images), "expected": c_count(size)}
+        if count != c_count(size):
+            return {"size": size, "images": count, "expected": c_count(size)}
     return None
 
 
@@ -381,7 +380,6 @@ def _check_transitive_probability(ctx: dict) -> dict | None:
 
 def _check_path_round_trip(ctx: dict) -> dict | None:
     for n in range(1, ctx["max_n"] + 1):
-        words = set()
         for p in enum_permutations(n):
             w = delta(p)
             if len(w.word) != 2 * n or not validate_labeling(w):
@@ -400,9 +398,6 @@ def _check_path_round_trip(ctx: dict) -> dict | None:
                 return {"n": n, "perm": format_permutation(p), "reason": "maxima bound"}
             if n >= 2 and is_indecomposable(p) and b1 != k:
                 return {"n": n, "perm": format_permutation(p), "reason": "maxima count"}
-            words.add(w.word)
-        if len(words) != math.factorial(n):
-            return {"n": n, "distinct": len(words), "expected": math.factorial(n)}
     return None
 
 
@@ -429,15 +424,10 @@ def _check_labeling_counts(ctx: dict) -> dict | None:
 
 
 def _check_path_polynomials(ctx: dict) -> dict | None:
-    for n in range(1, ctx["max_n"] + 1):
-        L, Lp = L_family(n)
-        table = ctx["tables"](n)
-        joint = table.project(("cycles", "lr_maxima"), indecomposable_only=True)
-        if n == 1:
-            # seed: the one-step path has a peak b only, so no y appears
-            if Lp.to_string() != "x" or L.to_string() != "x":
-                return {"n": 1, "poly": Lp.to_string()}
-            continue
+    # L_family itself checks L'_1 = L_1 = x, L_n(1, 1) = n! and L'_n's symmetry
+    for n in range(2, ctx["max_n"] + 1):
+        Lp = L_family(n)[1]
+        joint = ctx["tables"](n).project(("cycles", "lr_maxima"), indecomposable_only=True)
         for (p_cyc, q_max), cnt in sorted(joint.items()):
             if Lp.coefficient(p_cyc, q_max) != cnt:
                 return {
@@ -449,10 +439,6 @@ def _check_path_polynomials(ctx: dict) -> dict | None:
                 }
         if sum(joint.values()) != Lp.evaluate(1, 1):
             return {"n": n, "reason": "primitive total"}
-        if L.evaluate(1, 1) != math.factorial(n):
-            return {"n": n, "reason": "total"}
-        if n >= 2 and Lp.swap_xy() != Lp:
-            return {"n": n, "reason": "symmetry"}
     return None
 
 
@@ -493,8 +479,6 @@ def _check_map_counts(ctx: dict) -> dict | None:
             return {"size": size, "total": total, "expected": double_factorial_odd(m)}
         if indec != i_count(m):
             return {"size": size, "indecomposable": indec, "formula": i_count(m)}
-        if m >= 1 and map_count(m - 1) != i_count(m):
-            return {"m": m - 1, "reason": "map count"}
     return None
 
 
@@ -502,12 +486,9 @@ def _check_map_round_trip(ctx: dict) -> dict | None:
     for size in range(4, ctx["fpf_max_size"] + 1, 2):
         m_edges = (size - 2) // 2
         census: Counter[int] = Counter()
-        images = set()
-        count = 0
         for t in enum_fpf_involutions(size):
             if not is_indecomposable(t):
                 continue
-            count += 1
             mp = psi_prime(t)
             if not is_fpf_involution(mp.alpha):
                 return {"size": size, "theta": format_permutation(t), "reason": "not a pairing"}
@@ -517,9 +498,6 @@ def _check_map_round_trip(ctx: dict) -> dict | None:
             if psi_prime_inverse(mp) != t:
                 return {"size": size, "theta": format_permutation(t), "reason": "round trip"}
             census[vertices] += 1
-            images.add((mp.sigma.images, mp.alpha.images))
-        if len(images) != count:
-            return {"size": size, "images": len(images), "expected": count}
         Mp = M_family(m_edges + 1)[1]
         expected = {
             v: Mp.coefficient(0, v)

@@ -197,6 +197,16 @@ _ONE_LINE_TOKEN = re.compile(r"[1-9]\d*\Z")
 _CYCLE_TEXT = re.compile(r"(\(\d+(,\d+)*\))+\Z")
 
 
+def _ints(tokens: list[str], n: int) -> tuple[int, ...]:
+    # a token with more digits than int() reads lies far outside 1..n,
+    # the one range that n tokens can fill
+    try:
+        return tuple(int(s) for s in tokens)
+    except ValueError:
+        digits = max(map(len, tokens))
+        raise NotABijection(f"an element of {digits} digits lies outside 1..{n}") from None
+
+
 def parse_permutation(text: str, notation: str = "one-line") -> Permutation:
     """Parse one-line or cycle notation.
 
@@ -207,15 +217,14 @@ def parse_permutation(text: str, notation: str = "one-line") -> Permutation:
         parts = [s.strip() for s in text.strip().split(",")]
         if not all(_ONE_LINE_TOKEN.match(s) for s in parts):
             raise ParseError(f"not comma-separated positive integers: {text!r}")
-        return Permutation(tuple(int(s) for s in parts))
+        return Permutation(_ints(parts, len(parts)))
     if notation == "cycle":
         compact = re.sub(r"\s+", "", text)
         if not _CYCLE_TEXT.match(compact):
             raise ParseError(f"not parenthesized cycles: {text!r}")
-        cycs = [
-            tuple(int(tok) for tok in body.split(","))
-            for body in re.findall(r"\(([^()]*)\)", compact)
-        ]
+        bodies = [body.split(",") for body in re.findall(r"\(([^()]*)\)", compact)]
+        n = sum(map(len, bodies))
+        cycs = [_ints(body, n) for body in bodies]
         if any(e == 0 for c in cycs for e in c):
             raise ParseError("cycle elements must be positive")
         return from_cycles(cycs)

@@ -137,6 +137,7 @@ CASES = [
     ["bij", "omr-inv", "--sigma", "(1,2", "--alpha", "1,2"],
     ["bij", "omr-inv", "--sigma", "2,1", "--alpha", "x"],
     ["bij", "fft", "--perm", ""],
+    ["bij", "fft", "--perm", "1," + "9" * 4301],
     ["bij", "fft-inv", "--perm", "0,1"],
     ["bij", "delta", "--perm", "2,2"],
     ["bij", "delta-inv", "--path", "a b1"],

@@ -3,8 +3,11 @@ import math
 import pytest
 
 from permaps import oracle
-from permaps.enumpoly import BivariatePoly, c_poly
+from permaps.dyck import delta_inverse
+from permaps.enumpoly import BivariatePoly, L_family, c_count, c_poly, i_count
 from permaps.errors import LimitExceeded
+from permaps.hypermap import psi_inverse
+from permaps.maps import psi_prime_inverse
 from permaps.oracle import (
     FAULTS,
     count_transitive_pairs,
@@ -195,3 +198,92 @@ def test_verify_suite_guards():
         verify_suite(fpf_max_size=7)
     with pytest.raises(ValueError):
         verify_suite(fault="no-such-fault")
+
+
+def _counting(monkeypatch, calls, name):
+    real = getattr(oracle, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(oracle, name, counted)
+
+
+def test_verify_suite_examines_every_object(monkeypatch):
+    # each check still visits all of its objects: the bijection or test
+    # each one runs, counted against the size of what it sweeps
+    names = ("psi", "delta", "fundamental_transform", "phi_bijection", "psi_prime",
+             "canonical_rooted_form", "is_transitive")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        _counting(monkeypatch, calls, name)
+    assert verify_suite(5, 4, 8).passed
+    perms = sum(math.factorial(n) for n in range(1, 6))
+    assert calls == {
+        "psi": sum(c_count(k) for k in range(2, 7)),
+        "delta": perms,
+        "fundamental_transform": perms,
+        "phi_bijection": 2 * perms,
+        "psi_prime": sum(i_count(m) for m in range(2, 5)),
+        # the census canonicalizes each transitive pair, and again after
+        # the relabel 2,1,3,...,n from n = 3 on
+        "canonical_rooted_form": sum(
+            (1 + (n >= 3)) * math.factorial(n - 1) * c_count(n + 1) for n in range(1, 5)
+        ),
+        "is_transitive": sum(math.factorial(n) ** 2 for n in range(1, 5)),
+    }
+    assert calls["psi"] == 549 and calls["canonical_rooted_form"] == 908
+
+
+def _rotated_on_3(inverse):
+    # a broken inverse: its output is rotated when it starts with 3 at size 3
+    def broken(x):
+        p = inverse(x)
+        if p.images[:1] == (3,) and p.n == 3:
+            return Permutation(p.images[1:] + p.images[:1])
+        return p
+
+    return broken
+
+
+def _reversed_on_4_darts(m):
+    # a broken psi_prime_inverse: its output is reversed for maps on 4 darts
+    t = psi_prime_inverse(m)
+    return Permutation(t.images[::-1]) if m.n == 4 else t
+
+
+def _plus_xy_at_3(n):
+    L, Lp = L_family(n)
+    return L, (Lp + BivariatePoly.monomial(1, 1) if n == 3 else Lp)
+
+
+@pytest.mark.parametrize(
+    "name, broken, check, witness",
+    [
+        ("psi_inverse", _rotated_on_3(psi_inverse), "interval-split-round-trip",
+         {"size": 3, "theta": "3,1,2", "reason": "round trip"}),
+        ("delta_inverse", _rotated_on_3(delta_inverse), "path-round-trip",
+         {"n": 3, "perm": "3,1,2", "reason": "round trip"}),
+        ("psi_prime_inverse", _reversed_on_4_darts, "map-round-trip",
+         {"size": 6, "theta": "3,5,1,6,2,4", "reason": "round trip"}),
+        ("L_family", _plus_xy_at_3, "path-polynomials",
+         {"n": 3, "cycles": 1, "maxima": 1, "poly": 2, "exhaustive": 1}),
+        ("i_count", lambda m: i_count(m) + (m == 2), "map-counts",
+         {"size": 4, "indecomposable": 2, "formula": 3}),
+    ],
+)
+def test_edited_checks_still_fail(monkeypatch, name, broken, check, witness):
+    # one broken library function fails exactly the check that reads it
+    monkeypatch.setattr(oracle, name, broken)
+    report = verify_suite(4, 3, 6)
+    assert [(r.check, r.witness) for r in report.results if r.status == "fail"] == [
+        (check, witness)
+    ]
+
+
+def test_indecomposable_count_fails_on_a_wrong_c_n(monkeypatch):
+    # c_n feeds several checks; the count check names the size it is off at
+    monkeypatch.setattr(oracle, "c_count", lambda n: c_count(n) + (n == 3))
+    failed = {r.check: r.witness for r in verify_suite(4, 3, 6).results if r.status == "fail"}
+    assert failed["indecomposable-count"] == {"n": 3, "exhaustive": 3, "formula": 4}

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from permaps.errors import EmptyInput, NotABijection, ParseError, SizeMismatch
+from permaps.hypermap import hypermap_from_text
 from permaps.perm import (
     Permutation,
     blocks,
@@ -99,6 +100,20 @@ def test_parse_cycle():
         parse_permutation("(2,3)", notation="cycle")
     with pytest.raises(NotABijection):
         parse_permutation("(1,2)(2,3)", notation="cycle")
+
+
+def test_parse_rejects_tokens_too_long_for_int():
+    # past Python's int-string limit (4,300 digits) a token is still a
+    # number outside 1..n, not a bare ValueError
+    huge = "9" * 5000
+    with pytest.raises(NotABijection, match="5000 digits lies outside 1..2"):
+        parse_permutation("1," + huge)
+    with pytest.raises(NotABijection, match="5000 digits lies outside 1..4"):
+        parse_permutation(f"(1,2)(3,{huge})", notation="cycle")
+    with pytest.raises(NotABijection, match="5000 digits lies outside 1..3"):
+        hypermap_from_text(f"sigma=(1,2,{huge});alpha=(1)(2)(3)")
+    with pytest.raises(NotABijection):
+        parse_permutation("1," + "9" * 4000)
 
 
 def test_format_round_trips_exhaustive():
