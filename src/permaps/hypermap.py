@@ -30,9 +30,10 @@ block by block: an involution of S_n exchanging the number of cycles
 with the number of left-to-right maxima.
 
 ``Hypermap(...)`` checks transitivity, ``psi``'s result included.  The
-one trusted path is ``canonical_rooted_form``: its scan raises
-``NotTransitive`` unless it reaches every dart, so its output is built
-by the private ``_hypermap`` without a second check.
+private ``_hypermap`` skips that check on two trusted paths: the output
+of ``canonical_rooted_form``, whose scan raises ``NotTransitive`` unless
+it reaches every dart, and ``phi_bijection``'s swap of ``psi``'s pair,
+which joins the same darts.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .perm import (
     _perm,
     blocks,
     concat_blocks,
-    conjugate,
     cycles,
     format_cycles,
     from_cycles,
@@ -126,14 +126,17 @@ def is_transitive(pair: PermPair) -> bool:
     n = len(sigma)
     seen = bytearray(n + 1)
     seen[n] = 1
-    stack = [n]
-    while stack:
-        e = stack.pop() - 1
-        for f in (sigma[e], alpha[e]):
-            if not seen[f]:
-                seen[f] = 1
-                stack.append(f)
-    return seen.count(1) == n
+    reached = [n]
+    for e in reached:
+        f = sigma[e - 1]
+        if not seen[f]:
+            seen[f] = 1
+            reached.append(f)
+        f = alpha[e - 1]
+        if not seen[f]:
+            seen[f] = 1
+            reached.append(f)
+    return len(reached) == n
 
 
 def psi(theta: Permutation) -> Hypermap:
@@ -213,38 +216,36 @@ def canonical_rooted_form(h: PermPair) -> tuple[Hypermap, Permutation]:
 
     The word is built reversed, so prepending is appending, and the
     examined darts are always a prefix of the reversed word, so one
-    index replaces the search for the rightmost unexamined dart; the
-    scan is linear in n.
+    index replaces the search for the rightmost unexamined dart.  Each
+    vertex is written whole, back along sigma from its entry dart, and
+    each dart's place in the word, phi^{-1}, is noted as it is written;
+    that marks it written and relabels sigma and alpha: linear in n.
     """
-    n = h.n
-    orbit = cycles(h.sigma, canonical=False).cycles
-    vertex = [0] * (n + 1)
-    for v, c in enumerate(orbit):
-        for e in c:
-            vertex[e] = v
-    alpha_inv = [0] * (n + 1)
-    for e, a in enumerate(h.alpha.images, 1):
-        alpha_inv[a] = e
-    written = bytearray(len(orbit))
+    sigma, alpha = h.sigma.images, h.alpha.images
+    n = len(sigma)
+    sigma_inv, alpha_inv = [0] * (n + 1), [0] * (n + 1)
+    for e in range(n):
+        sigma_inv[sigma[e]] = alpha_inv[alpha[e]] = e + 1
+    place = [0] * (n + 1)  # phi^{-1}: each written dart's place in the word
     rev: list[int] = []  # the written word, last dart first
 
-    def write(u: int) -> None:
-        v = vertex[u]
-        written[v] = 1
-        c = orbit[v]
-        t = c.index(u)
-        rev.extend(reversed(c[t:] + c[:t]))
+    def write(v: int) -> None:  # v, then back along sigma to the entry dart
+        while not place[v]:
+            place[v] = n - len(rev)
+            rev.append(v)
+            v = sigma_inv[v]
 
-    write(h.sigma.images[n - 1])
+    write(n)
     # the loop's own index walks the examined prefix while writes append
     for e in rev:
         u = alpha_inv[e]
-        if not written[vertex[u]]:
-            write(u)
+        if not place[u]:
+            write(sigma_inv[u])
     if len(rev) < n:
         raise NotTransitive("scan exhausted before covering every dart")
-    phi = _perm(tuple(reversed(rev)))
-    return _hypermap(conjugate(h.sigma, phi), conjugate(h.alpha, phi)), phi
+    phi = tuple(reversed(rev))
+    relabeled = [_perm(tuple([place[p[e - 1]] for e in phi])) for p in (sigma, alpha)]
+    return _hypermap(*relabeled), _perm(phi)
 
 
 def psi_inverse(h: PermPair) -> Permutation:
@@ -289,7 +290,7 @@ def phi_bijection(p: Permutation) -> Permutation:
             out.append(b)
         else:
             h = psi(b)
-            out.append(psi_inverse(Hypermap(h.alpha, h.sigma)))
+            out.append(psi_inverse(_hypermap(h.alpha, h.sigma)))
     return concat_blocks(out)
 
 

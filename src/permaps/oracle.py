@@ -58,9 +58,9 @@ from .hypermap import (
 from .maps import is_fpf_involution, psi_prime, psi_prime_inverse
 from .perm import (
     Permutation,
+    _cycle_count,
     _perm,
     conjugate,
-    cycles,
     format_permutation,
     identity,
     is_indecomposable,
@@ -154,7 +154,7 @@ def joint_distribution(n: int, limit: int = 8) -> DistributionTable:
     table = DistributionTable(n)
     for p in enum_permutations(n):
         key = (
-            len(cycles(p).cycles),
+            _cycle_count(p.images),
             len(lr_maxima(p)),
             len(rl_minima(p)),
             is_indecomposable(p),
@@ -282,7 +282,7 @@ def _check_fundamental_transform(ctx: dict) -> dict | None:
             t = fundamental_transform(p)
             if fundamental_transform_inverse(t) != p:
                 return {"n": n, "perm": format_permutation(p), "reason": "round trip"}
-            if len(cycles(p).cycles) != len(lr_maxima(t)):
+            if _cycle_count(p.images) != len(lr_maxima(t)):
                 return {"n": n, "perm": format_permutation(p), "reason": "statistic"}
             if is_indecomposable(p) != is_indecomposable(t):
                 return {"n": n, "perm": format_permutation(p), "reason": "block structure"}
@@ -299,9 +299,9 @@ def _check_interval_split(ctx: dict) -> dict | None:
             h = psi(theta)
             if not satisfies_lemma1(h):
                 return {"size": size, "theta": format_permutation(theta), "reason": "not canonical"}
-            if len(cycles(h.alpha).cycles) != len(cycles(theta).cycles):
+            if _cycle_count(h.alpha.images) != _cycle_count(theta.images):
                 return {"size": size, "theta": format_permutation(theta), "reason": "edge count"}
-            if len(cycles(h.sigma).cycles) != len(lr_maxima(theta)):
+            if _cycle_count(h.sigma.images) != len(lr_maxima(theta)):
                 return {"size": size, "theta": format_permutation(theta), "reason": "vertex count"}
             if psi_inverse(h) != theta:
                 return {"size": size, "theta": format_permutation(theta), "reason": "round trip"}
@@ -316,9 +316,8 @@ def _check_statistic_swap(ctx: dict) -> dict | None:
             q = phi_bijection(p)
             if phi_bijection(q) != p:
                 return {"n": n, "perm": format_permutation(p), "reason": "not involutive"}
-            if len(cycles(p).cycles) != len(lr_maxima(q)) or len(
-                cycles(q).cycles
-            ) != len(lr_maxima(p)):
+            counts = _cycle_count(p.images), _cycle_count(q.images)
+            if counts != (len(lr_maxima(q)), len(lr_maxima(p))):
                 return {"n": n, "perm": format_permutation(p), "reason": "statistic"}
     return None
 
@@ -390,7 +389,7 @@ def _check_path_round_trip(ctx: dict) -> dict | None:
             b1 = sum(1 for t in w.word if t == "b1")
             fixed = sum(1 for i in range(1, n + 1) if p(i) == i)
             k = len(lr_maxima(p))
-            if b0 != len(cycles(p).cycles):
+            if b0 != _cycle_count(p.images):
                 return {"n": n, "perm": format_permutation(p), "reason": "cycle count"}
             if is_primitive(w.underlying()) != is_indecomposable(p):
                 return {"n": n, "perm": format_permutation(p), "reason": "primitivity"}
@@ -492,7 +491,7 @@ def _check_map_round_trip(ctx: dict) -> dict | None:
             mp = psi_prime(t)
             if not is_fpf_involution(mp.alpha):
                 return {"size": size, "theta": format_permutation(t), "reason": "not a pairing"}
-            vertices = len(cycles(mp.sigma).cycles)
+            vertices = _cycle_count(mp.sigma.images)
             if vertices != len(lr_maxima(t)):
                 return {"size": size, "theta": format_permutation(t), "reason": "vertex count"}
             if psi_prime_inverse(mp) != t:

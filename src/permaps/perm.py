@@ -172,6 +172,19 @@ def cycles(p: Permutation, canonical: bool = True) -> CycleForm:
     return CycleForm(tuple(orbits), canonical)
 
 
+def _cycle_count(images: tuple[int, ...]) -> int:
+    """The number of cycles of these images, counted in one scan."""
+    seen = bytearray(len(images) + 1)
+    count = 0
+    for i, j in enumerate(images, 1):
+        if not seen[i]:
+            count += 1
+            while not seen[j]:
+                seen[j] = 1
+                j = images[j - 1]
+    return count
+
+
 def from_cycles(cycs: Iterable[Sequence[int]], n: int | None = None) -> Permutation:
     """Build a permutation from disjoint cycles covering all of {1..n}.
 

@@ -12,9 +12,17 @@ per size.  The labeling checks keep their own height counters, one
 loop per check, where the library reads every word through one step
 walker.  They live with the tests rather than in the package so that
 ``import permaps`` does not load code only tests run.
+
+The random generators at the end build permutations with a chosen
+block structure, so tests at large n reach both indecomposable and
+decomposable inputs: a uniform random permutation is almost always
+indecomposable.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from random import Random
 
 from permaps.enumpoly import BivariatePoly, SeriesInZ
 from permaps.dyck import DELTA, RV, LabeledDyckPath, format_labeled_path
@@ -342,3 +350,43 @@ def reference_joint(l_prime: list[BivariatePoly]) -> SeriesInZ:
     joint_n."""
     blocks = [BivariatePoly.zero(), BivariatePoly.monomial(1, 1), *l_prime[2:]]
     return SeriesInZ(blocks, len(l_prime) - 1).inverse_one_minus()
+
+
+def random_indecomposable(rng: Random, n: int) -> Permutation:
+    """A random indecomposable permutation of 1..n.
+
+    A random number of swaps leaves anything from the identity to a
+    near-uniform shuffle.  Then, at each end e < n of a block (a prefix
+    whose maximum is its length), the images at e and e + 1 trade
+    places.  That brings a value above e into the prefix of length e and
+    leaves every other prefix's set of values as it was, so no proper
+    prefix is stable afterwards."""
+    images = list(range(1, n + 1))
+    for _ in range(rng.randint(0, n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        images[i], images[j] = images[j], images[i]
+    ends = [e for e, top in enumerate(accumulate(images, max), 1) if top == e and e < n]
+    for e in ends:
+        images[e - 1], images[e] = images[e], images[e - 1]
+    return Permutation(tuple(images))
+
+
+def random_blocks(rng: Random, sizes: list[int]) -> Permutation:
+    """The concatenation of random indecomposable blocks of these sizes."""
+    images: list[int] = []
+    for size in sizes:
+        offset = len(images)
+        images += [v + offset for v in random_indecomposable(rng, size).images]
+    return Permutation(tuple(images))
+
+
+def random_block_sizes(rng: Random, n: int, least: int = 1) -> list[int]:
+    """A random composition of n into at least ``least`` (and at most
+    ``least`` + 8) parts."""
+    cuts = sorted(rng.sample(range(1, n), rng.randint(least - 1, min(n - 1, least + 7))))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+def random_decomposable(rng: Random, n: int) -> Permutation:
+    """A random permutation of 1..n (n >= 2) with at least two blocks."""
+    return random_blocks(rng, random_block_sizes(rng, n, least=2))

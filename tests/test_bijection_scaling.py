@@ -1,19 +1,31 @@
-"""The slot bijection, the canonical scan and the image-indexed
-permutation primitives at sizes far beyond the exhaustive sweeps:
-property tests against the reference forms in ``reference.py``, and a
-round trip at n = 10^5."""
+"""The slot bijection, the canonical scan, the image-indexed
+permutation primitives and the hypermap bijections at sizes far beyond
+the exhaustive sweeps: property tests against the reference forms in
+``reference.py``, and a round trip at n = 10^5."""
 
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permaps.dyck import delta, delta_inverse
-from permaps.errors import NotTransitive
-from permaps.hypermap import PermPair, canonical_rooted_form, is_transitive
-from permaps.perm import Permutation, conjugate, cycles
+from permaps.errors import Decomposable, NotTransitive
+from permaps.hypermap import (
+    PermPair,
+    canonical_rooted_form,
+    is_transitive,
+    phi_bijection,
+    psi,
+    psi_inverse,
+)
+from permaps.perm import Permutation, _cycle_count, blocks, conjugate, cycles, lr_maxima
 from reference import (
+    random_block_sizes,
+    random_blocks,
+    random_decomposable,
+    random_indecomposable,
     reference_canonical_rooted_form,
     reference_conjugate,
     reference_cycles,
@@ -149,6 +161,7 @@ def test_primitives_match_reference_exhaustive():
         for p in perms:
             for canonical in (True, False):
                 assert cycles(p, canonical) == reference_cycles(p, canonical)
+            assert _cycle_count(p.images) == len(reference_cycles(p).cycles)
             assert conjugate(p, perms[-1]) == reference_conjugate(p, perms[-1])
         if n <= 4:
             for s, a in itertools.product(perms, repeat=2):
@@ -162,6 +175,7 @@ def test_cycles_match_reference(n, rng):
     p = random_perm(rng, n)
     for canonical in (True, False):
         assert cycles(p, canonical) == reference_cycles(p, canonical)
+    assert _cycle_count(p.images) == len(reference_cycles(p).cycles)
 
 
 @bounded
@@ -187,3 +201,34 @@ def test_is_transitive_matches_reference(n, rng):
         PermPair(*(Permutation(tuple(images)) for images in shuffled)),
     ):
         assert is_transitive(pair) == reference_is_transitive(pair)
+
+
+# the cycle counts go through _cycle_count, which the tests above check
+# against the reference form
+@bounded
+@given(st.integers(2, 5000), seeds)
+def test_psi_round_trip_and_statistics(n, rng):
+    theta = random_indecomposable(rng, n)
+    h = psi(theta)
+    assert psi_inverse(h) == theta
+    assert _cycle_count(h.alpha.images) == _cycle_count(theta.images)  # cycles to hyper-edges
+    assert _cycle_count(h.sigma.images) == len(lr_maxima(theta))  # maxima to vertices
+
+
+@bounded
+@given(st.integers(2, 5000), seeds)
+def test_psi_rejects_decomposable(n, rng):
+    with pytest.raises(Decomposable):
+        psi(random_decomposable(rng, n))
+
+
+@bounded
+@given(st.integers(1, 5000), seeds)
+def test_phi_bijection_involution_swaps_statistics(n, rng):
+    sizes = random_block_sizes(rng, n)
+    p = random_blocks(rng, sizes)
+    assert [b.n for b in blocks(p)] == sizes
+    q = phi_bijection(p)
+    assert phi_bijection(q) == p
+    assert _cycle_count(p.images) == len(lr_maxima(q))
+    assert _cycle_count(q.images) == len(lr_maxima(p))
