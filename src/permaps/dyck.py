@@ -166,20 +166,19 @@ def is_primitive(word: str) -> bool:
     return closing == [len(word) - 1]
 
 
-def _checked_b_steps(lp: LabeledDyckPath) -> list[tuple[int, int, int, int]]:
+def _checked_b_steps(lp: LabeledDyckPath) -> Iterator[tuple[int, int, int, int]]:
     """``_b_steps`` of a labeled path with each step's label appended;
     raises InvalidLabeling at the first label or step that breaks the
     scheme or the Dyck word."""
     word, scheme = lp.word, lp.scheme
-    steps = []
     try:
         for i, height, run in _b_steps(word):
             label = int(word[i][1:])
             if label not in _labels(scheme, height, run > 0):
                 break
-            steps.append((i, height, run, label))
+            yield i, height, run, label
         else:
-            return steps
+            return
     except (InvalidPath, ValueError):  # ValueError: more digits than int() reads
         pass
     raise InvalidLabeling(f"not a valid {scheme} labeling: {format_labeled_path(lp)}")
@@ -188,7 +187,8 @@ def _checked_b_steps(lp: LabeledDyckPath) -> list[tuple[int, int, int, int]]:
 def validate_labeling(lp: LabeledDyckPath) -> bool:
     """Check every b label against the path shape and the scheme rules."""
     try:
-        _checked_b_steps(lp)
+        for _ in _checked_b_steps(lp):
+            pass
     except InvalidLabeling:
         return False
     return True

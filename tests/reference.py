@@ -352,19 +352,25 @@ def reference_joint(l_prime: list[BivariatePoly]) -> SeriesInZ:
     return SeriesInZ(blocks, len(l_prime) - 1).inverse_one_minus()
 
 
-def random_indecomposable(rng: Random, n: int) -> Permutation:
-    """A random indecomposable permutation of 1..n.
-
-    A random number of swaps leaves anything from the identity to a
-    near-uniform shuffle.  Then, at each end e < n of a block (a prefix
-    whose maximum is its length), the images at e and e + 1 trade
-    places.  That brings a value above e into the prefix of length e and
-    leaves every other prefix's set of values as it was, so no proper
-    prefix is stable afterwards."""
+def random_perm(rng: Random, n: int) -> Permutation:
+    """Anything from the identity (n blocks) to a near-uniform shuffle
+    (a few long cycles), depending on how many swaps are drawn."""
     images = list(range(1, n + 1))
     for _ in range(rng.randint(0, n)):
         i, j = rng.randrange(n), rng.randrange(n)
         images[i], images[j] = images[j], images[i]
+    return Permutation(tuple(images))
+
+
+def random_indecomposable(rng: Random, n: int) -> Permutation:
+    """A random indecomposable permutation of 1..n.
+
+    Starting from ``random_perm``, at each end e < n of a block (a
+    prefix whose maximum is its length), the images at e and e + 1
+    trade places.  That brings a value above e into the prefix of length
+    e and leaves every other prefix's set of values as it was, so no
+    proper prefix is stable afterwards."""
+    images = list(random_perm(rng, n).images)
     ends = [e for e, top in enumerate(accumulate(images, max), 1) if top == e and e < n]
     for e in ends:
         images[e - 1], images[e] = images[e], images[e - 1]

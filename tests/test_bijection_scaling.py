@@ -26,6 +26,7 @@ from reference import (
     random_blocks,
     random_decomposable,
     random_indecomposable,
+    random_perm,
     reference_canonical_rooted_form,
     reference_conjugate,
     reference_cycles,
@@ -39,16 +40,6 @@ bounded = settings(max_examples=12, deadline=None, derandomize=True, database=No
 # a seeded generator, not hypothesis' own randoms, which draw every swap
 # from hypothesis' bounded example buffer
 seeds = st.integers(0, 2**32).map(random.Random)
-
-
-def random_perm(rng, n):
-    """Anything from the identity (n blocks) to a near-uniform shuffle
-    (a few long cycles), depending on how many swaps are drawn."""
-    images = list(range(1, n + 1))
-    for _ in range(rng.randint(0, n)):
-        i, j = rng.randrange(n), rng.randrange(n)
-        images[i], images[j] = images[j], images[i]
-    return Permutation(tuple(images))
 
 
 def test_delta_matches_reference_exhaustive():

@@ -4,9 +4,9 @@ Each ``src/`` directory is loaded as its own package (``side_a``,
 ``side_b``), so both stay importable side by side.  Every expression is
 evaluated in a namespace holding the package as ``pm`` and each of its
 submodules by name, after ``--setup`` has run there.  Rounds alternate
-which side goes first; each sample times ``--number`` calls.  The
-outputs of the two sides must be equal once every object with
-``.images`` is read as its images.  Example (see also the README):
+which side goes first; each sample times one evaluation, so batch many
+calls inside the expression.  The outputs of the two sides must be
+equal once every object with ``.images`` is read as its images.  Example (see also the README):
 
     python tools/side_by_side.py PARENT/src src --setup "p = perm.identity(64)" \\
         "hypermap.phi_bijection(p)" "oracle.verify_suite(5, 3, 6)"
@@ -57,7 +57,6 @@ def main() -> None:
     ap.add_argument("exprs", nargs="+")
     ap.add_argument("--setup", default="")
     ap.add_argument("--rounds", type=int, default=10)
-    ap.add_argument("--number", type=int, default=1)
     args = ap.parse_args()
     sides = [load(args.src_a, "side_a"), load(args.src_b, "side_b")]
     for ns in sides:
@@ -70,9 +69,8 @@ def main() -> None:
         for r in range(args.rounds):
             for s in (0, 1) if r % 2 == 0 else (1, 0):
                 t0 = time.perf_counter()
-                for _ in range(args.number):
-                    eval(code, sides[s])
-                samples[s].append((time.perf_counter() - t0) / args.number)
+                eval(code, sides[s])
+                samples[s].append(time.perf_counter() - t0)
         (a, b), (a_med, b_med) = ([f(s) for s in samples] for f in (min, statistics.median))
         print(f"{expr}: a min {a * 1e3:.4f} ms median {a_med * 1e3:.4f} ms | b min "
               f"{b * 1e3:.4f} ms median {b_med * 1e3:.4f} ms | b/a min {b / a:.3f} "
