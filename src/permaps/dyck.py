@@ -33,7 +33,10 @@ Both directions run in O(n log n).  The blocks share one flat slot
 array in creation order, so "cyclically from the pivot" is a cyclic
 range of positions; a Fenwick tree of free flags turns a label into a
 rank query (``delta``) or a select (``delta_inverse``), and the pivot
-comes from a queue of candidates that only moves forward.
+comes from a queue of candidates that only moves forward.  The count of
+free slots left of the pivot is kept between steps, so each placed
+element costs one descent of the tree, which ranks or finds its slot and
+takes it.
 """
 
 from __future__ import annotations
@@ -142,12 +145,11 @@ def _b_steps(word: Sequence[str]) -> Iterator[tuple[int, int, int]]:
     raise InvalidPath(f"not a Dyck word: {word!r}")
 
 
-def _labels(scheme: str, height: int, peak: bool) -> range:
-    """The labels a b step admits under scheme, given the height in front
-    of it and whether an a comes right before it."""
-    if peak:
-        return range(0, 1) if scheme == DELTA else range(1, 2)
-    return range(1, height + 1)
+def _labels(scheme: str) -> tuple[int, int]:
+    """The label rule of scheme as (peak, least): a b step right after an
+    a takes label ``peak``, and any other b step takes a label from
+    ``least`` up to the height in front of it."""
+    return (0, 1) if scheme == DELTA else (1, 1)
 
 
 def validate_dyck(word: str) -> bool:
@@ -171,10 +173,11 @@ def _checked_b_steps(lp: LabeledDyckPath) -> Iterator[tuple[int, int, int, int]]
     raises InvalidLabeling at the first label or step that breaks the
     scheme or the Dyck word."""
     word, scheme = lp.word, lp.scheme
+    peak, least = _labels(scheme)
     try:
         for i, height, run in _b_steps(word):
             label = int(word[i][1:])
-            if label not in _labels(scheme, height, run > 0):
+            if (label != peak) if run else not least <= label <= height:
                 break
             yield i, height, run, label
         else:
@@ -205,55 +208,64 @@ class _Slots:
     there.
 
     ``_tree`` is a Fenwick tree (Fenwick 1994) of free flags over the
-    array.  Slots not yet opened count as free; that is harmless, since
-    every query stays below ``_opened``.  A rank is a difference of two
-    prefix counts and a select is one descent of the tree, each
-    O(log n).
+    array, sized to a power of two so that a descent from its top stays
+    in it.  Slots not yet opened, or past n, count as free; that is
+    harmless, since every query stays below ``_opened``.  Placing an
+    element is one descent: toward a given slot for a rank, adding up
+    the nodes it steps past, or by count for a select.  The nodes a
+    descent does not step past are exactly the nodes covering the slot
+    it reaches, so it takes the slot by decrementing them on the way.
+    Opening a block takes its slot 0 with one update walk.
+    ``_before``, the free slots left of the pivot, is counted again only
+    when the pivot moves, and drops by one when a slot left of it fills.
 
     The pivot is the smallest placed element whose successor slot in its
     own block is free.  Elements are placed in increasing order, so
     pivot candidates join ``_cands`` in increasing order; a candidate
     dies once its successor slot fills and never revives, so a head
-    that only moves forward finds the pivot in amortised O(1).  A whole
-    encoding or decoding therefore costs O(n log n).
+    that only moves forward finds the pivot.  The pivot moves at most n
+    times in all, each time for one prefix count, so a whole encoding
+    or decoding costs O(n log n).
     """
 
     def __init__(self, n: int) -> None:
         self._n = n
-        self._tree = [i & -i for i in range(n + 1)]  # every slot free
+        self._tree = [i & -i for i in range(1 << n.bit_length())]  # every slot free
+        self._steps = [1 << k for k in reversed(range(n.bit_length()))]  # descent offsets
         self._elt = [0] * n  # element in each slot, 0 while free
         self._last = bytearray(n)  # 1 at the last slot of each block
         self._cands: list[int] = []  # slots of pivot candidates
         self._head = 0
+        self._at = -1  # the pivot's slot when ``_before`` was counted
+        self._before = 0
         self._opened = 0
         self._free = 0
 
-    def _count(self, i: int) -> int:
-        """Free slots among positions [0, i)."""
-        tree = self._tree
-        total = 0
-        while i:
-            total += tree[i]
-            i &= i - 1
-        return total
-
     def _pivot(self) -> int:
+        """The pivot's slot, with ``_before`` counted for it."""
         cands, elt = self._cands, self._elt
         head = self._head
         while elt[cands[head] + 1]:
             head += 1
         self._head = head
-        return cands[head]
+        at = cands[head]
+        if at != self._at:
+            self._at = at
+            tree = self._tree
+            before = 0
+            i = at
+            while i:
+                before += tree[i]
+                i &= i - 1
+            self._before = before
+        return at
 
-    def place(self, element: int, pos: int) -> None:
-        """Put ``element`` into the free slot ``pos``."""
-        elt, tree = self._elt, self._tree
+    def _fill(self, element: int, pos: int) -> None:
+        """Put ``element`` into the free slot ``pos``; the caller updates
+        the tree."""
+        elt = self._elt
         elt[pos] = element
         self._free -= 1
-        i = pos + 1
-        while i <= self._n:
-            tree[i] -= 1
-            i += i & -i
         if not self._last[pos] and not elt[pos + 1]:
             self._cands.append(pos)
 
@@ -263,31 +275,61 @@ class _Slots:
         self._opened += k
         self._free += k
         self._last[start + k - 1] = 1
-        self.place(element, start)
+        tree = self._tree
+        size = len(tree)
+        i = start + 1
+        while i < size:
+            tree[i] -= 1
+            i += i & -i
+        self._fill(element, start)
 
-    def rank(self, pos: int) -> int:
-        """Cyclic rank of the free slot ``pos`` counted from the pivot."""
-        before = self._count(self._pivot() + 1)
-        upto = self._count(pos + 1)
-        return upto - before if upto > before else self._free - before + upto
+    def take(self, element: int, pos: int) -> int:
+        """Put ``element`` into the free slot ``pos``; the slot's cyclic
+        rank counted from the pivot just before."""
+        at = self._pivot()
+        tree = self._tree
+        left = node = 0  # free slots left of pos, in the nodes stepped past
+        for step in self._steps:
+            nxt = node + step
+            if nxt <= pos:
+                node = nxt
+                left += tree[nxt]
+            else:  # nxt covers pos
+                tree[nxt] -= 1
+        before = self._before
+        if pos > at:
+            rank = left + 1 - before
+        else:
+            rank = self._free - before + left + 1
+            self._before = before - 1
+        self._fill(element, pos)
+        return rank
 
-    def select(self, rank: int) -> int:
-        """The free slot whose cyclic rank from the pivot is ``rank``."""
-        if rank > self._free:
-            raise PlacementOutOfRange(f"label {rank} with only {self._free} free slots")
-        before = self._count(self._pivot() + 1)
-        after = self._free - before  # free slots right of the pivot
-        target = before + rank if rank <= after else rank - after
-        tree, n = self._tree, self._n
+    def take_rank(self, element: int, rank: int) -> None:
+        """Put ``element`` into the free slot whose cyclic rank from the
+        pivot is ``rank``."""
+        free = self._free
+        if rank > free:
+            raise PlacementOutOfRange(f"label {rank} with only {free} free slots")
+        self._pivot()
+        before = self._before
+        after = free - before  # free slots right of the pivot
+        if rank <= after:
+            target = before + rank
+        else:
+            target = rank - after
+            self._before = before - 1
+        tree = self._tree
         pos = 0
-        step = 1 << (n.bit_length() - 1)
-        while step:
+        for step in self._steps:
             nxt = pos + step
-            if nxt <= n and tree[nxt] < target:
+            count = tree[nxt]
+            if count < target:
                 pos = nxt
-                target -= tree[nxt]
-            step >>= 1
-        return pos
+                target -= count
+            else:  # nxt covers the slot sought
+                tree[nxt] = count - 1
+        self._fill(element, pos)
 
     def to_permutation(self) -> Permutation:
         """Read each finished block as a cycle; an unfilled slot leaves a
@@ -325,8 +367,7 @@ def delta(p: Permutation) -> LabeledDyckPath:
             tokens.append("b0")
             slots.open_block(i, k)
         else:
-            tokens.append(f"b{slots.rank(slot_of[i])}")
-            slots.place(i, slot_of[i])
+            tokens.append(f"b{slots.take(i, slot_of[i])}")
     return _labeled_path(tuple(tokens), DELTA)
 
 
@@ -346,7 +387,7 @@ def delta_inverse(lp: LabeledDyckPath) -> Permutation:
         if run:
             slots.open_block(element, run)
         else:
-            slots.place(element, slots.select(label))
+            slots.take_rank(element, label)
     return slots.to_permutation()
 
 
@@ -388,9 +429,10 @@ def enum_dyck_paths(n: int) -> Iterator[str]:
 def _label_choices(word: str, scheme: str) -> list[tuple[int, range]]:
     # the index of each b step and the labels it admits; a word that is
     # not Dyck raises InvalidPath even when the scheme is unknown too
-    choices = [(i, _labels(scheme, height, run > 0)) for i, height, run in _b_steps(word)]
+    steps = list(_b_steps(word))
     _check_scheme(scheme)
-    return choices
+    peak, least = _labels(scheme)
+    return [(i, range(peak, peak + 1) if run else range(least, h + 1)) for i, h, run in steps]
 
 
 def enum_labelings(word: str, scheme: str = DELTA) -> Iterator[LabeledDyckPath]:

@@ -56,11 +56,9 @@ from .perm import (
     cycles,
     format_cycles,
     from_cycles,
-    inverse,
     is_indecomposable,
     lr_maxima,
     parse_permutation,
-    rl_minima,
 )
 
 __all__ = [
@@ -193,14 +191,19 @@ def satisfies_lemma1(pair: PermPair) -> bool:
     darts in increasing cyclic order, and (ii) below the root interval's
     left endpoint, the values that are right-to-left minima of the
     sequence alpha^{-1} are exactly the other intervals' left endpoints.
+    A value v is such a minimum exactly when alpha(v) exceeds alpha(u)
+    for every u < v, so (ii) is one scan of alpha up to that endpoint.
     """
     endpoints = _interval_endpoints(pair.sigma)
     if endpoints is None:
         return False
-    ik = endpoints[-1]
-    ainv = inverse(pair.alpha)
-    minima_values = {ainv(i) for i in rl_minima(ainv)}
-    return {v for v in minima_values if v < ik} == set(endpoints[:-1])
+    maxima = []  # the darts below i_k at which alpha reaches a new maximum
+    top = 0
+    for v, image in enumerate(pair.alpha.images[: endpoints[-1] - 1], 1):
+        if image > top:
+            maxima.append(v)
+            top = image
+    return tuple(maxima) == endpoints[:-1]
 
 
 def canonical_rooted_form(h: PermPair) -> tuple[Hypermap, Permutation]:

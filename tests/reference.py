@@ -10,13 +10,16 @@ from their first-return recurrences on dict polynomials, and the joint
 table from the inverse of a series in z, with O(n) polynomial products
 per size.  The labeling checks keep their own height counters, one
 loop per check, where the library reads every word through one step
-walker.  They live with the tests rather than in the package so that
+walker.  ``reference_satisfies_lemma1`` is the syntactic test as first
+written, through the inverse of alpha, its right-to-left minima and two
+sets.  They live with the tests rather than in the package so that
 ``import permaps`` does not load code only tests run.
 
 The random generators at the end build permutations with a chosen
 block structure, so tests at large n reach both indecomposable and
 decomposable inputs: a uniform random permutation is almost always
-indecomposable.
+indecomposable.  ``random_pairing`` draws the indecomposable
+fixed-point-free involutions that ``psi_prime`` takes.
 """
 
 from __future__ import annotations
@@ -34,7 +37,15 @@ from permaps.errors import (
     PlacementOutOfRange,
 )
 from permaps.hypermap import Hypermap, PermPair
-from permaps.perm import CycleForm, Permutation, conjugate, cycles, inverse
+from permaps.perm import (
+    CycleForm,
+    Permutation,
+    conjugate,
+    cycles,
+    inverse,
+    is_indecomposable,
+    rl_minima,
+)
 
 
 class _ReferenceSlots:
@@ -274,6 +285,22 @@ def reference_canonical_rooted_form(h: PermPair) -> tuple[Hypermap, Permutation]
     return Hypermap(conjugate(h.sigma, phi), conjugate(h.alpha, phi)), phi
 
 
+def reference_satisfies_lemma1(pair: PermPair) -> bool:
+    """``hypermap.satisfies_lemma1``: every cycle of sigma, read from its
+    minimum, is a run of consecutive darts, and below the last run's
+    start the values at the right-to-left minima of alpha^{-1} are the
+    other runs' starts, compared as sets."""
+    endpoints = []
+    for c in cycles(pair.sigma, canonical=False).cycles:  # sorted by minimum
+        if c != tuple(range(c[0], c[0] + len(c))):
+            return False
+        endpoints.append(c[0])
+    ik = endpoints[-1]
+    ainv = inverse(pair.alpha)
+    minima_values = {ainv(i) for i in rl_minima(ainv)}
+    return {v for v in minima_values if v < ik} == set(endpoints[:-1])
+
+
 def reference_cycles(p: Permutation, canonical: bool = True) -> CycleForm:
     """``perm.cycles`` by following ``p(i)`` from each unseen minimum, then
     rotating every orbit to its maximum and sorting by first element."""
@@ -396,3 +423,18 @@ def random_block_sizes(rng: Random, n: int, least: int = 1) -> list[int]:
 def random_decomposable(rng: Random, n: int) -> Permutation:
     """A random permutation of 1..n (n >= 2) with at least two blocks."""
     return random_blocks(rng, random_block_sizes(rng, n, least=2))
+
+
+def random_pairing(rng: Random, n: int) -> Permutation:
+    """A random indecomposable fixed-point-free involution of 1..n (n even
+    and at least 2): uniform pairings, drawn again until one is
+    indecomposable, as all but a vanishing share are once n grows."""
+    points = list(range(1, n + 1))
+    while True:
+        rng.shuffle(points)
+        images = [0] * n
+        for a, b in zip(points[::2], points[1::2]):
+            images[a - 1], images[b - 1] = b, a
+        p = Permutation(tuple(images))
+        if is_indecomposable(p):
+            return p

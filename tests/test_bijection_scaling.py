@@ -1,7 +1,8 @@
 """The slot bijection, the canonical scan, the image-indexed
-permutation primitives and the hypermap bijections at sizes far beyond
-the exhaustive sweeps: property tests against the reference forms in
-``reference.py``, and a round trip at n = 10^5."""
+permutation primitives, the fundamental transform and the hypermap and
+map bijections at sizes far beyond the exhaustive sweeps: property
+tests against the reference forms in ``reference.py``, and a round trip
+at n = 10^5."""
 
 import itertools
 import random
@@ -11,21 +12,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permaps.dyck import delta, delta_inverse
-from permaps.errors import Decomposable, NotTransitive
+from permaps.errors import Decomposable, NotFpf, NotTransitive
 from permaps.hypermap import (
+    Hypermap,
     PermPair,
     canonical_rooted_form,
     is_transitive,
     phi_bijection,
     psi,
     psi_inverse,
+    satisfies_lemma1,
 )
-from permaps.perm import Permutation, _cycle_count, blocks, conjugate, cycles, lr_maxima
+from permaps.maps import is_fpf_involution, psi_prime, psi_prime_inverse
+from permaps.perm import (
+    Permutation,
+    _cycle_count,
+    blocks,
+    conjugate,
+    cycles,
+    fundamental_transform,
+    fundamental_transform_inverse,
+    lr_maxima,
+)
 from reference import (
     random_block_sizes,
     random_blocks,
     random_decomposable,
     random_indecomposable,
+    random_pairing,
     random_perm,
     reference_canonical_rooted_form,
     reference_conjugate,
@@ -33,6 +47,7 @@ from reference import (
     reference_delta,
     reference_delta_inverse,
     reference_is_transitive,
+    reference_satisfies_lemma1,
 )
 
 # derandomized, so every run draws the same examples
@@ -58,6 +73,27 @@ def test_delta_matches_reference(n, rng):
     w = delta(p)
     assert w == reference_delta(p)
     assert delta_inverse(w) == reference_delta_inverse(w) == p
+
+
+# pairings and their fundamental transforms are the benchmark's other
+# shapes: many 2-cycles, or many left-to-right maxima, move the pivot
+# queue differently than uniform inputs with their few long cycles do;
+# the reference lists every free slot at every step, which is slowest on
+# this shape, hence fewer examples
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 1000), seeds)
+def test_delta_matches_reference_on_pairings(m, rng):
+    q = random_pairing(rng, 2 * m)
+    for p in (q, fundamental_transform(q)):
+        w = delta(p)
+        assert w == reference_delta(p)
+        assert delta_inverse(w) == reference_delta_inverse(w) == p
+
+
+def root_fixing_relabel(rng, n):
+    images = list(range(1, n))
+    rng.shuffle(images)
+    return Permutation(tuple(images) + (n,))
 
 
 def random_hypermap(rng, n):
@@ -115,9 +151,7 @@ def test_canonical_matches_reference(n, rng):
 def test_canonical_invariant_under_root_fixing_relabeling(n, rng):
     h = random_hypermap(rng, n)
     assert is_transitive(h)
-    images = list(range(1, n))
-    rng.shuffle(images)
-    phi = Permutation(tuple(images) + (n,))
+    phi = root_fixing_relabel(rng, n)
     moved = PermPair(conjugate(h.sigma, phi), conjugate(h.alpha, phi))
     assert canonical_rooted_form(moved)[0] == canonical_rooted_form(h)[0]
 
@@ -223,3 +257,83 @@ def test_phi_bijection_involution_swaps_statistics(n, rng):
     assert phi_bijection(q) == p
     assert _cycle_count(p.images) == len(lr_maxima(q))
     assert _cycle_count(q.images) == len(lr_maxima(p))
+
+
+def test_satisfies_lemma1_matches_reference_exhaustive():
+    for n in range(1, 6):
+        perms = [Permutation(im) for im in itertools.permutations(range(1, n + 1))]
+        for s, a in itertools.product(perms, repeat=2):
+            h = PermPair(s, a)
+            assert satisfies_lemma1(h) == reference_satisfies_lemma1(h)
+
+
+@bounded
+@given(st.integers(1, 2000), seeds)
+def test_satisfies_lemma1_matches_reference(n, rng):
+    h = psi(random_indecomposable(rng, n + 1))
+    assert satisfies_lemma1(h)
+    # swapping two alpha images keeps sigma's intervals and may break the
+    # minima; a relabeling usually breaks the intervals
+    alpha = list(h.alpha.images)
+    i, j = rng.randrange(n), rng.randrange(n)
+    alpha[i], alpha[j] = alpha[j], alpha[i]
+    phi = root_fixing_relabel(rng, n)
+    for pair in (
+        h,
+        PermPair(h.sigma, Permutation(tuple(alpha))),
+        PermPair(conjugate(h.sigma, phi), conjugate(h.alpha, phi)),
+    ):
+        assert satisfies_lemma1(pair) == reference_satisfies_lemma1(pair)
+
+
+@bounded
+@given(st.integers(1, 5000), seeds)
+def test_fundamental_transform_swaps_cycles_for_maxima_and_keeps_blocks(n, rng):
+    sizes = random_block_sizes(rng, n)
+    p = random_blocks(rng, sizes)
+    q = fundamental_transform(p)
+    assert fundamental_transform_inverse(q) == p
+    assert [q(i) for i in lr_maxima(q)] == [c[0] for c in cycles(p).cycles]  # cycle maxima
+    assert [b.n for b in blocks(q)] == sizes
+    r = fundamental_transform_inverse(p)
+    assert fundamental_transform(r) == p
+    assert _cycle_count(r.images) == len(lr_maxima(p))
+    assert [b.n for b in blocks(r)] == sizes
+
+
+@bounded
+@given(st.integers(2, 2500), seeds)
+def test_psi_prime_round_trip_and_statistics(m, rng):
+    theta = random_pairing(rng, 2 * m)
+    rooted = psi_prime(theta)
+    assert is_fpf_involution(rooted.alpha)  # alpha stays a pairing
+    assert _cycle_count(rooted.sigma.images) == len(lr_maxima(theta))  # vertices are maxima
+    assert psi_prime_inverse(rooted) == theta
+    phi = root_fixing_relabel(rng, rooted.n)
+    moved = Hypermap(conjugate(rooted.sigma, phi), conjugate(rooted.alpha, phi))
+    assert psi_prime_inverse(moved) == theta
+
+
+def merge_two_pairs(rng, images):
+    """Swap the images of two darts in different pairs, which joins the
+    two pairs into one 4-cycle."""
+    images = list(images)
+    i = rng.randrange(len(images))
+    j = rng.choice([k for k in range(len(images)) if k != i and k != images[i] - 1])
+    images[i], images[j] = images[j], images[i]
+    return Permutation(tuple(images))
+
+
+@bounded
+@given(st.integers(3, 2500), seeds)
+def test_psi_prime_rejects_near_valid_input(m, rng):
+    theta = random_pairing(rng, 2 * m)
+    with pytest.raises(NotFpf):
+        psi_prime(merge_two_pairs(rng, theta.images))
+    left = rng.randint(1, m - 1)
+    a, b = random_pairing(rng, 2 * left), random_pairing(rng, 2 * (m - left))
+    with pytest.raises(Decomposable):
+        psi_prime(Permutation(a.images + tuple(v + 2 * left for v in b.images)))
+    rooted = psi_prime(theta)
+    with pytest.raises(NotFpf):
+        psi_prime_inverse(Hypermap(rooted.sigma, merge_two_pairs(rng, rooted.alpha.images)))

@@ -49,6 +49,9 @@ def test_bijection_round_trips(run):
     assert word == "a a a a b0 a a a b0 b1 a a b0 b4 b2 b1 b1 b1\n"
     _, back, _ = run("bij", "delta-inv", "--path", word.strip())
     assert back == "3,7,5,8,9,2,6,4,1\n"
+    # labels are integers, zero padding included
+    assert run("bij", "delta-inv", "--path", "a b00") == (0, "1\n", "")
+    assert run("bij", "delta-inv", "--path", "a a b0 b01") == (0, "2,1\n", "")
 
     _, q, _ = run("bij", "phi", "--perm", "2,4,1,3")
     assert q == "4,3,2,1\n"

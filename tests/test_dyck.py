@@ -100,6 +100,28 @@ def test_validate_labeling_delta():
         convert_label_scheme(huge)
 
 
+def test_zero_padded_labels():
+    # a label is read as an integer, so leading zeros name the same label
+    for padded, plain, images in (
+        ("a b00", "a b0", (1,)),
+        ("a a b0 b01", "a a b0 b1", (2, 1)),
+        ("a a a b000 b002 b01", "a a a b0 b2 b1", (3, 1, 2)),
+    ):
+        lp, same = parse_labeled_path(padded), parse_labeled_path(plain)
+        assert validate_labeling(lp) and reference_validate_labeling(lp)
+        assert delta_inverse(lp) == delta_inverse(same) == Permutation(images)
+        assert convert_label_scheme(lp) == convert_label_scheme(same)
+    assert validate_labeling(parse_labeled_path("a a b01 b001", RV))
+    assert convert_label_scheme(parse_labeled_path("a a b01 b001", RV)) == parse_labeled_path(
+        "a a b0 b1"
+    )
+    # padding does not bring a label into range
+    for bad in ("a b01", "a a b0 b02", "a a b00 b00"):
+        assert not validate_labeling(parse_labeled_path(bad))
+        with pytest.raises(InvalidLabeling):
+            delta_inverse(parse_labeled_path(bad))
+
+
 def test_validate_labeling_rv():
     assert validate_labeling(parse_labeled_path("a b1", RV))
     assert validate_labeling(parse_labeled_path("a a b1 b1", RV))

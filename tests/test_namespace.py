@@ -2,6 +2,7 @@
 lazily, so that a command imports only the modules it runs."""
 
 import ast
+import importlib
 import subprocess
 import sys
 
@@ -51,6 +52,13 @@ def test_namespace_is_the_public_names():
     assert not hasattr(permaps, "_perm") and not hasattr(permaps, "_hypermap")
 
 
+def test_owner_map_is_each_submodules_all():
+    for sub, names in permaps._PUBLIC.items():
+        assert names.split() == list(importlib.import_module(f"permaps.{sub}").__all__)
+    # no name is listed under two submodules
+    assert len(permaps._OWNER) == sum(len(names.split()) for names in permaps._PUBLIC.values())
+
+
 # --- what a fresh interpreter imports ------------------------------------------------
 
 _COMPUTING = {"perm", "hypermap", "dyck", "enumpoly", "maps", "oracle"}
@@ -84,6 +92,20 @@ def _imported(env, *argv) -> tuple[subprocess.CompletedProcess, set[str]]:
 def test_import_loads_no_submodule(child_env):
     code = "import sys, permaps; print(sorted(m for m in sys.modules if m.startswith('permaps')))"
     assert _python(child_env, "-c", code).stdout == "['permaps']\n"
+
+
+def test_a_name_loads_only_its_own_submodule(child_env):
+    code = (
+        "import sys, permaps\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('permaps'))\n"
+        "print(hasattr(permaps, 'typo'), hasattr(permaps, 'cli'), loaded())\n"
+        "permaps.L_family\n"
+        "print(loaded())\n"
+    )
+    done = _python(child_env, "-c", code)
+    assert done.stdout == (
+        "False False ['permaps']\n['permaps', 'permaps.enumpoly', 'permaps.errors']\n"
+    )
 
 
 def test_poly_command_loads_only_what_it_runs(child_env):
