@@ -53,7 +53,7 @@ from .errors import (
     ParseError,
     PlacementOutOfRange,
 )
-from .perm import Permutation, cycles
+from .perm import Permutation, _perm
 
 __all__ = [
     "DELTA",
@@ -332,8 +332,8 @@ class _Slots:
         self._fill(element, pos)
 
     def to_permutation(self) -> Permutation:
-        """Read each finished block as a cycle; an unfilled slot leaves a
-        0 image, which ``Permutation`` rejects as ``NotABijection``."""
+        """Read each block as a cycle; a word that ``_checked_b_steps``
+        passes has put n elements into the n slots, so none is empty."""
         elt, last = self._elt, self._last
         img = [0] * self._n
         start = 0
@@ -343,21 +343,26 @@ class _Slots:
                 start = pos + 1
             else:
                 img[elt[pos] - 1] = elt[pos + 1]
-        return Permutation(tuple(img))
+        return _perm(tuple(img))
 
 
 def delta(p: Permutation) -> LabeledDyckPath:
     """Encode a permutation as a labeled path of length 2n (delta scheme)."""
-    n = p.n
+    images = p.images
+    n = len(images)
     block_len = [0] * (n + 1)  # k at the minimum of each k-cycle
     slot_of = [0] * (n + 1)
-    start = 0
-    # cycles come sorted by minimum, the order in which their blocks open
-    for c in cycles(p, canonical=False).cycles:
-        block_len[c[0]] = len(c)
-        for t, e in enumerate(c, start):
+    opened = 0
+    # an upward scan meets each cycle at its minimum, in the order blocks
+    # open; only 1 takes slot 0, so elsewhere slot 0 marks a cycle not walked
+    for i in range(1, n + 1):
+        if slot_of[i]:
+            continue
+        slot_of[i], t, e = opened, opened + 1, images[i - 1]
+        while e != i:
             slot_of[e] = t
-        start += len(c)
+            t, e = t + 1, images[e - 1]
+        block_len[i], opened = t - opened, t
     slots = _Slots(n)
     tokens: list[str] = []
     for i in range(1, n + 1):

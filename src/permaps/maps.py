@@ -4,14 +4,16 @@ A map on 2m darts is a hypermap (sigma, alpha) in which alpha is a
 fixed-point-free involution; its cycles are the m edges, the cycles of
 sigma the vertices.  Indecomposable fixed-point-free involutions of
 S_{2m+2} (counted by i_{m+1}: 1, 2, 10, 74, ...) correspond to rooted
-maps with m edges through ``psi_prime``, a specialization of the
-hypermap bijection: split theta as usual, then delete the dart
-j = theta(2m+2), which the splitting leaves as the unique fixed point
-of the reduced edge permutation, and close the gap in the numbering.
-``psi_prime_inverse`` canonicalizes the map, reinserts j, and reads the
-involution back.  The number of vertices of the image equals the
-number of left-to-right maxima of theta, so the vertex distribution
-over all rooted maps with m edges is the polynomial M'_{m+1}.
+maps with m edges through ``psi_prime``, the hypermap bijection
+specialized to pairings in closed form.  The last left-to-right maximum
+of theta is j = theta(2m+2); the vertices are the intervals between
+consecutive maxima of theta on 1..2m, and the edges are theta with the
+pair {j, 2m+2} removed and the values above j closed up.
+``psi_prime_inverse`` canonicalizes the map, takes j as the left
+endpoint of the root vertex, and puts the pair back.  The number of
+vertices of the image equals the number of left-to-right maxima of
+theta, so the vertex distribution over all rooted maps with m edges is
+the polynomial M'_{m+1}.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ from .hypermap import (
     _interval_endpoints,
     canonical_rooted_form,
     hypermap_to_json_dict,
-    psi,
-    psi_inverse,
 )
-from .perm import Permutation, _perm, is_indecomposable
+from .perm import Permutation, _perm, is_indecomposable, lr_maxima
 
 __all__ = [
     "RootedMap",
@@ -72,34 +72,19 @@ def psi_prime(theta: Permutation) -> RootedMap:
         raise SizeTooSmall("the smallest usable pairing has size 4")
     if not is_indecomposable(theta):
         raise Decomposable(f"{theta!r} is decomposable")
-    h = psi(theta)
-    j = theta(theta.n)
-    # deleting the top value turns the pair {j, 2m+2} into the single
-    # fixed point j of alpha; remove it and renumber darts above j
-    sigma, alpha = h.sigma.images, h.alpha.images
-    n2 = h.n - 1
-    sigma_images = [0] * (n2 + 1)
-    alpha_images = [0] * (n2 + 1)
-    for i in range(1, h.n + 1):
-        if i == j:
-            continue
-        s = sigma[i - 1]
-        if s == j:
-            s = sigma[j - 1]
-        t = i - 1 if i > j else i
-        sigma_images[t] = s - 1 if s > j else s
-        a = alpha[i - 1]
-        alpha_images[t] = a - 1 if a > j else a
-    return RootedMap(_perm(tuple(sigma_images[1:])), _perm(tuple(alpha_images[1:])))
+    # theta pairs j with 2m+2, whose position is the last maximum: the
+    # root vertex is j..2m, and dropping the pair closes up values above j
+    j = theta.images[-1]
+    alpha = [v - (v > j) for i, v in enumerate(theta.images[:-1], 1) if i != j]
+    return RootedMap(_interval_cycles(lr_maxima(theta), theta.n - 2), _perm(tuple(alpha)))
 
 
 def psi_prime_inverse(m: Hypermap) -> Permutation:
     """Rebuild the indecomposable pairing of S_{2m+2} from a rooted map.
 
-    Canonicalize, shift darts at or above the last vertex interval's
-    left endpoint j up by one, reinsert j as a fixed point of alpha and
-    as the new left end of the root vertex, and apply the hypermap
-    reinsertion; the result pairs j with 2m+2.
+    Canonicalize and take j as the root vertex's left endpoint; shift
+    the edge values at or above j up by one, put 2m+2 at position j,
+    and append j, which pairs j with 2m+2.
     """
     if not is_fpf_involution(m.alpha):
         raise NotFpf("alpha must be a fixed-point-free involution")
@@ -108,18 +93,10 @@ def psi_prime_inverse(m: Hypermap) -> Permutation:
     if endpoints is None:
         raise InternalMismatch("canonical form has a vertex that is not an interval")
     j = endpoints[-1]
-    n1 = can.n + 1
-    alpha_images = [0] * (n1 + 1)
-    for i, v in enumerate(can.alpha.images, 1):
-        src = i + 1 if i >= j else i
-        alpha_images[src] = v + 1 if v >= j else v
-    alpha_images[j] = j
-    theta = psi_inverse(
-        Hypermap(_interval_cycles(endpoints, n1), _perm(tuple(alpha_images[1:])))
-    )
-    if not is_fpf_involution(theta):
-        raise InternalMismatch("reinsertion lost the pairing structure")
-    return theta
+    theta = [v + (v >= j) for v in can.alpha.images]
+    theta.insert(j - 1, m.n + 2)
+    theta.append(j)
+    return _perm(tuple(theta))
 
 
 def map_count(m: int) -> int:

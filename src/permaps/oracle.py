@@ -369,7 +369,7 @@ def _check_transitive_probability(ctx: dict) -> dict | None:
         # the census's count, unless it stopped before finishing size n
         pairs = ctx["labeled_pairs"].get(n)
         if pairs is None:
-            pairs = count_transitive_pairs(n, limit=ctx["pair_max_n"])
+            pairs = count_transitive_pairs(n)
         brute = Fraction(pairs, math.factorial(n) ** 2)
         formula = transitive_probability(n)
         if brute != formula:
@@ -568,7 +568,7 @@ def verify_suite(
 
     def tables(n: int) -> DistributionTable:
         if n not in table_cache:
-            table_cache[n] = joint_distribution(n, limit=max(8, n))
+            table_cache[n] = joint_distribution(n)
         return table_cache[n]
 
     ctx = {

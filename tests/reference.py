@@ -12,8 +12,11 @@ per size.  The labeling checks keep their own height counters, one
 loop per check, where the library reads every word through one step
 walker.  ``reference_satisfies_lemma1`` is the syntactic test as first
 written, through the inverse of alpha, its right-to-left minima and two
-sets.  They live with the tests rather than in the package so that
-``import permaps`` does not load code only tests run.
+sets.  ``reference_psi_prime`` and its inverse go through the full
+hypermap bijection on 2m+1 darts, deleting and reinserting the dart
+j = theta(2m+2), where the library uses the closed form.  They live
+with the tests rather than in the package so that ``import permaps``
+does not load code only tests run.
 
 The random generators at the end build permutations with a chosen
 block structure, so tests at large n reach both indecomposable and
@@ -36,7 +39,16 @@ from permaps.errors import (
     NotTransitive,
     PlacementOutOfRange,
 )
-from permaps.hypermap import Hypermap, PermPair
+from permaps.hypermap import (
+    Hypermap,
+    PermPair,
+    _interval_cycles,
+    _interval_endpoints,
+    canonical_rooted_form,
+    psi,
+    psi_inverse,
+)
+from permaps.maps import RootedMap
 from permaps.perm import (
     CycleForm,
     Permutation,
@@ -354,6 +366,42 @@ def reference_is_transitive(pair: PermPair) -> bool:
                 parent[rb] = rc
                 components -= 1
     return components == 1
+
+
+def reference_psi_prime(theta: Permutation) -> RootedMap:
+    """The map of an indecomposable pairing through the full hypermap
+    bijection: split theta by ``psi`` into a hypermap on 2m+1 darts,
+    whose alpha fixes j = theta(2m+2), then delete j from both
+    permutations and renumber the darts above it."""
+    h = psi(theta)
+    j = theta(theta.n)
+    sigma_images, alpha_images = [], []
+    for i in range(1, h.n + 1):
+        if i == j:
+            continue
+        s = h.sigma(i)
+        if s == j:
+            s = h.sigma(j)
+        sigma_images.append(s - 1 if s > j else s)
+        a = h.alpha(i)
+        alpha_images.append(a - 1 if a > j else a)
+    return RootedMap(Permutation(tuple(sigma_images)), Permutation(tuple(alpha_images)))
+
+
+def reference_psi_prime_inverse(m: Hypermap) -> Permutation:
+    """The pairing of a rooted map through the full hypermap bijection:
+    canonicalize, shift darts at or above the root vertex's left
+    endpoint j up by one, reinsert j as a fixed point of alpha and as
+    the new left end of the root vertex, and apply ``psi_inverse``."""
+    can, _ = canonical_rooted_form(m)
+    endpoints = _interval_endpoints(can.sigma)
+    j = endpoints[-1]
+    alpha_images = [0] * (can.n + 2)
+    for i, v in enumerate(can.alpha.images, 1):
+        alpha_images[i + 1 if i >= j else i] = v + 1 if v >= j else v
+    alpha_images[j] = j
+    sigma = _interval_cycles(endpoints, can.n + 1)
+    return psi_inverse(Hypermap(sigma, Permutation(tuple(alpha_images[1:]))))
 
 
 def reference_path_families(N: int, peak: BivariatePoly | None):

@@ -47,6 +47,8 @@ from reference import (
     reference_delta,
     reference_delta_inverse,
     reference_is_transitive,
+    reference_psi_prime,
+    reference_psi_prime_inverse,
     reference_satisfies_lemma1,
 )
 
@@ -308,10 +310,11 @@ def test_psi_prime_round_trip_and_statistics(m, rng):
     rooted = psi_prime(theta)
     assert is_fpf_involution(rooted.alpha)  # alpha stays a pairing
     assert _cycle_count(rooted.sigma.images) == len(lr_maxima(theta))  # vertices are maxima
-    assert psi_prime_inverse(rooted) == theta
+    assert rooted == reference_psi_prime(theta)
+    assert psi_prime_inverse(rooted) == reference_psi_prime_inverse(rooted) == theta
     phi = root_fixing_relabel(rng, rooted.n)
     moved = Hypermap(conjugate(rooted.sigma, phi), conjugate(rooted.alpha, phi))
-    assert psi_prime_inverse(moved) == theta
+    assert psi_prime_inverse(moved) == reference_psi_prime_inverse(moved) == theta
 
 
 def merge_two_pairs(rng, images):

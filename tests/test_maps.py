@@ -4,11 +4,12 @@ from collections import Counter
 
 import pytest
 
+import permaps.hypermap
 import permaps.maps
 from permaps.dyck import delta
 from permaps.enumpoly import M_family
 from permaps.errors import Decomposable, InternalMismatch, NotFpf, NotTransitive, SizeTooSmall
-from permaps.hypermap import Hypermap, hypermap_to_text, rooted_isomorphic
+from permaps.hypermap import Hypermap, canonical_rooted_form, hypermap_to_text, rooted_isomorphic
 from permaps.maps import (
     RootedMap,
     is_fpf_involution,
@@ -20,12 +21,14 @@ from permaps.maps import (
 )
 from permaps.perm import (
     Permutation,
+    conjugate,
     cycles,
     identity,
     is_indecomposable,
     lr_maxima,
     parse_permutation,
 )
+from reference import reference_psi_prime, reference_psi_prime_inverse
 
 
 def fpf_involutions(n):
@@ -91,15 +94,20 @@ def test_psi_prime_guards():
 
 
 def test_psi_prime_round_trip_exhaustive():
-    for size in (4, 6, 8):
+    for size in (4, 6, 8, 10):
         thetas = [t for t in fpf_involutions(size) if is_indecomposable(t)]
         images = set()
+        # a root-fixing relabeling: reverse the darts below the root
+        phi = Permutation(tuple(range(size - 3, 0, -1)) + (size - 2,))
         for t in thetas:
             m = psi_prime(t)
+            assert m == reference_psi_prime(t)
             assert m.n == size - 2
             assert is_fpf_involution(m.alpha)
             assert len(cycles(m.sigma).cycles) == len(lr_maxima(t))
-            assert psi_prime_inverse(m) == t
+            assert psi_prime_inverse(m) == reference_psi_prime_inverse(m) == t
+            moved = Hypermap(conjugate(m.sigma, phi), conjugate(m.alpha, phi))
+            assert psi_prime_inverse(moved) == reference_psi_prime_inverse(moved) == t
             images.add((m.sigma.images, m.alpha.images))
         assert len(images) == len(thetas) == map_count((size - 2) // 2)
 
@@ -133,11 +141,22 @@ def test_psi_prime_inverse_declares_internal_faults(monkeypatch):
         )
         with pytest.raises(InternalMismatch):
             psi_prime_inverse(m)
-    with monkeypatch.context() as mp:
-        # a reinsertion that loses the pairing
-        mp.setattr(permaps.maps, "psi_inverse", lambda h: identity(h.n + 1))
-        with pytest.raises(InternalMismatch):
-            psi_prime_inverse(m)
+
+
+def test_psi_prime_inverse_canonicalizes_once(monkeypatch):
+    # counted wherever it is looked up, so a detour through psi_inverse
+    # would count twice
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return canonical_rooted_form(h)
+
+    monkeypatch.setattr(permaps.maps, "canonical_rooted_form", counted)
+    monkeypatch.setattr(permaps.hypermap, "canonical_rooted_form", counted)
+    theta = Permutation((4, 6, 5, 1, 3, 2))
+    assert psi_prime_inverse(psi_prime(theta)) == theta
+    assert len(calls) == 1
 
 
 def test_vertex_census_matches_M_prime():
