@@ -30,10 +30,11 @@ block by block: an involution of S_n exchanging the number of cycles
 with the number of left-to-right maxima.
 
 ``Hypermap(...)`` checks transitivity, ``psi``'s result included.  The
-private ``_hypermap`` skips that check on two trusted paths: the output
-of ``canonical_rooted_form``, whose scan raises ``NotTransitive`` unless
-it reaches every dart, and ``phi_bijection``'s swap of ``psi``'s pair,
-which joins the same darts.
+private ``_hypermap`` skips that check on three trusted paths: the
+output of ``canonical_rooted_form``, whose scan raises ``NotTransitive``
+unless it reaches every dart, ``phi_bijection``'s swap of ``psi``'s
+pair, which joins the same darts, and ``maps.psi_prime``'s map, built
+as the ``RootedMap`` subclass from a checked indecomposable pairing.
 """
 
 from __future__ import annotations
@@ -106,10 +107,10 @@ class Hypermap(PermPair):
             raise NotTransitive("sigma and alpha do not act transitively")
 
 
-def _hypermap(sigma: Permutation, alpha: Permutation) -> Hypermap:
-    """A Hypermap on a pair already known to be transitive and of one
-    size, built without the check of ``Hypermap(...)``."""
-    h = object.__new__(Hypermap)
+def _hypermap(sigma: Permutation, alpha: Permutation, cls: type = Hypermap) -> Hypermap:
+    """A Hypermap (or the subclass ``cls``) on a pair already known to
+    pass that class's checks, built without running them."""
+    h = object.__new__(cls)
     object.__setattr__(h, "sigma", sigma)
     object.__setattr__(h, "alpha", alpha)
     return h
@@ -251,6 +252,15 @@ def canonical_rooted_form(h: PermPair) -> tuple[Hypermap, Permutation]:
     return _hypermap(*relabeled), _perm(phi)
 
 
+def _canonical_root(h: PermPair) -> tuple[Hypermap, int]:
+    """The canonical form of h and the left endpoint of its root vertex."""
+    can, _ = canonical_rooted_form(h)
+    endpoints = _interval_endpoints(can.sigma)
+    if endpoints is None:
+        raise InternalMismatch("canonical form has a vertex that is not an interval")
+    return can, endpoints[-1]
+
+
 def psi_inverse(h: PermPair) -> Permutation:
     """Rebuild the indecomposable permutation of S_{n+1} from a hypermap.
 
@@ -258,11 +268,7 @@ def psi_inverse(h: PermPair) -> Permutation:
     interval's left endpoint i_k of alpha's one-line form, moving the
     displaced value to the end.
     """
-    can, _ = canonical_rooted_form(h)
-    endpoints = _interval_endpoints(can.sigma)
-    if endpoints is None:
-        raise InternalMismatch("canonical form has a vertex that is not an interval")
-    ik = endpoints[-1]
+    can, ik = _canonical_root(h)
     a = can.alpha.images
     n = can.n
     theta = a[: ik - 1] + (n + 1,) + a[ik:] + (a[ik - 1],)

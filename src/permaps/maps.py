@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .enumpoly import M_family, i_count
-from .errors import Decomposable, InternalMismatch, NotFpf, SizeTooSmall
+from .errors import Decomposable, NotFpf, SizeTooSmall
 from .hypermap import (
     Hypermap,
+    _canonical_root,
+    _hypermap,
     _interval_cycles,
-    _interval_endpoints,
-    canonical_rooted_form,
     hypermap_to_json_dict,
 )
 from .perm import Permutation, _perm, is_indecomposable, lr_maxima
@@ -73,10 +73,12 @@ def psi_prime(theta: Permutation) -> RootedMap:
     if not is_indecomposable(theta):
         raise Decomposable(f"{theta!r} is decomposable")
     # theta pairs j with 2m+2, whose position is the last maximum: the
-    # root vertex is j..2m, and dropping the pair closes up values above j
+    # root vertex is j..2m, and dropping the pair closes up values above j;
+    # the input checks already make the result a transitive pairing
     j = theta.images[-1]
     alpha = [v - (v > j) for i, v in enumerate(theta.images[:-1], 1) if i != j]
-    return RootedMap(_interval_cycles(lr_maxima(theta), theta.n - 2), _perm(tuple(alpha)))
+    sigma = _interval_cycles(lr_maxima(theta), theta.n - 2)
+    return _hypermap(sigma, _perm(tuple(alpha)), RootedMap)
 
 
 def psi_prime_inverse(m: Hypermap) -> Permutation:
@@ -88,11 +90,7 @@ def psi_prime_inverse(m: Hypermap) -> Permutation:
     """
     if not is_fpf_involution(m.alpha):
         raise NotFpf("alpha must be a fixed-point-free involution")
-    can, _ = canonical_rooted_form(m)
-    endpoints = _interval_endpoints(can.sigma)
-    if endpoints is None:
-        raise InternalMismatch("canonical form has a vertex that is not an interval")
-    j = endpoints[-1]
+    can, j = _canonical_root(m)
     theta = [v + (v >= j) for v in can.alpha.images]
     theta.insert(j - 1, m.n + 2)
     theta.append(j)

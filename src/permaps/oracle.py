@@ -5,10 +5,12 @@ enumeration and statistic counting, then compared: permutations with
 their joint (cycles, left-to-right maxima, right-to-left minima,
 indecomposability) distribution, fixed-point-free involutions,
 transitive pairs, and labeled-path censuses.  ``verify_suite`` packages
-the comparisons into a deterministic pass/fail report whose failure
-witnesses are the lexicographically smallest counterexamples met in
-enumeration order; ``fault`` deliberately breaks one code path so the
-suite can demonstrate that it catches regressions.
+the comparisons into a deterministic pass/fail report.  Each check is a
+generator that yields its counterexamples in enumeration order, and the
+suite's one runner takes the first, so a failure's witness is the
+lexicographically smallest counterexample and nothing after it runs;
+``fault`` deliberately breaks one code path so the suite can
+demonstrate that it catches regressions.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .dyck import (
     validate_labeling,
 )
 from .enumpoly import (
+    BivariatePoly,
     L_family,
     M_family,
     arques_beraud_check,
@@ -242,54 +245,45 @@ class VerifyReport:
 FAULTS = ("skip-canonicalization",)
 
 
-def _check_indecomposable_count(ctx: dict) -> dict | None:
+def _witness(key: str, size: int, x: Permutation, reason: str) -> dict:
+    # the witness naming one object: its size, its one-line form, the failure
+    return {key: size, "perm" if key == "n" else "theta": format_permutation(x), "reason": reason}
+
+
+def _check_indecomposable_count(ctx: dict) -> Iterator[dict]:
     for n in range(1, ctx["max_n"] + 1):
         exhaustive = ctx["tables"](n).project(("indecomposable",)).get(True, 0)
         if exhaustive != c_count(n):
-            return {"n": n, "exhaustive": exhaustive, "formula": c_count(n)}
-    return None
+            yield {"n": n, "exhaustive": exhaustive, "formula": c_count(n)}
 
 
-def _check_stirling_triangle(ctx: dict) -> dict | None:
+def _check_stirling_triangle(ctx: dict) -> Iterator[dict]:
     for n in range(2, ctx["max_n"] + 1):
         table = ctx["tables"](n)
         by_cycles = table.project(("cycles",), indecomposable_only=True)
         by_maxima = table.project(("lr_maxima",), indecomposable_only=True)
         for k in range(1, n):
             formula = c_count_by_cycles(n, k)
-            if by_cycles.get(k, 0) != formula:
-                return {
-                    "n": n,
-                    "k": k,
-                    "exhaustive": by_cycles.get(k, 0),
-                    "formula": formula,
-                }
-            if by_maxima.get(k, 0) != formula:
-                return {
-                    "n": n,
-                    "k": k,
-                    "exhaustive_by_maxima": by_maxima.get(k, 0),
-                    "formula": formula,
-                }
+            for key, counts in (("exhaustive", by_cycles), ("exhaustive_by_maxima", by_maxima)):
+                if counts.get(k, 0) != formula:
+                    yield {"n": n, "k": k, key: counts.get(k, 0), "formula": formula}
         if c_poly(n).evaluate(1, 1) != c_count(n):
-            return {"n": n, "poly_at_1": c_poly(n).evaluate(1, 1), "count": c_count(n)}
-    return None
+            yield {"n": n, "poly_at_1": c_poly(n).evaluate(1, 1), "count": c_count(n)}
 
 
-def _check_fundamental_transform(ctx: dict) -> dict | None:
+def _check_fundamental_transform(ctx: dict) -> Iterator[dict]:
     for n in range(1, min(ctx["max_n"], 7) + 1):
         for p in enum_permutations(n):
             t = fundamental_transform(p)
             if fundamental_transform_inverse(t) != p:
-                return {"n": n, "perm": format_permutation(p), "reason": "round trip"}
+                yield _witness("n", n, p, "round trip")
             if _cycle_count(p.images) != len(lr_maxima(t)):
-                return {"n": n, "perm": format_permutation(p), "reason": "statistic"}
+                yield _witness("n", n, p, "statistic")
             if is_indecomposable(p) != is_indecomposable(t):
-                return {"n": n, "perm": format_permutation(p), "reason": "block structure"}
-    return None
+                yield _witness("n", n, p, "block structure")
 
 
-def _check_interval_split(ctx: dict) -> dict | None:
+def _check_interval_split(ctx: dict) -> Iterator[dict]:
     for size in range(2, ctx["max_n"] + 2):
         count = 0
         for theta in enum_permutations(size):
@@ -298,73 +292,60 @@ def _check_interval_split(ctx: dict) -> dict | None:
             count += 1
             h = psi(theta)
             if not satisfies_lemma1(h):
-                return {"size": size, "theta": format_permutation(theta), "reason": "not canonical"}
+                yield _witness("size", size, theta, "not canonical")
             if _cycle_count(h.alpha.images) != _cycle_count(theta.images):
-                return {"size": size, "theta": format_permutation(theta), "reason": "edge count"}
+                yield _witness("size", size, theta, "edge count")
             if _cycle_count(h.sigma.images) != len(lr_maxima(theta)):
-                return {"size": size, "theta": format_permutation(theta), "reason": "vertex count"}
+                yield _witness("size", size, theta, "vertex count")
             if psi_inverse(h) != theta:
-                return {"size": size, "theta": format_permutation(theta), "reason": "round trip"}
+                yield _witness("size", size, theta, "round trip")
         if count != c_count(size):
-            return {"size": size, "images": count, "expected": c_count(size)}
-    return None
+            yield {"size": size, "images": count, "expected": c_count(size)}
 
 
-def _check_statistic_swap(ctx: dict) -> dict | None:
+def _check_statistic_swap(ctx: dict) -> Iterator[dict]:
     for n in range(1, min(ctx["max_n"], 7) + 1):
         for p in enum_permutations(n):
             q = phi_bijection(p)
             if phi_bijection(q) != p:
-                return {"n": n, "perm": format_permutation(p), "reason": "not involutive"}
+                yield _witness("n", n, p, "not involutive")
             counts = _cycle_count(p.images), _cycle_count(q.images)
             if counts != (len(lr_maxima(q)), len(lr_maxima(p))):
-                return {"n": n, "perm": format_permutation(p), "reason": "statistic"}
-    return None
+                yield _witness("n", n, p, "statistic")
 
 
-def _check_hypermap_census(ctx: dict) -> dict | None:
+def _check_hypermap_census(ctx: dict) -> Iterator[dict]:
     canon = ctx["canon"]
     for n in range(1, ctx["pair_max_n"] + 1):
-        relabel = None
-        if n >= 3:
-            relabel = Permutation((2, 1) + tuple(range(3, n + 1)))
+        relabel = Permutation((2, 1) + tuple(range(3, n + 1))) if n >= 3 else None
         labeled = 0
         forms: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
         for pair in _transitive_pairs(n):
             labeled += 1
             can, phi = canon(pair)
             if phi(n) != n:
-                return {
-                    "n": n,
-                    "sigma": format_permutation(pair.sigma),
-                    "alpha": format_permutation(pair.alpha),
-                    "reason": "relabeling moves the root",
-                }
+                yield {"n": n, "sigma": format_permutation(pair.sigma),
+                       "alpha": format_permutation(pair.alpha),
+                       "reason": "relabeling moves the root"}
             if relabel is not None:
-                moved = PermPair(
-                    conjugate(pair.sigma, relabel), conjugate(pair.alpha, relabel)
-                )
-                can2, _ = canon(moved)
+                can2, _ = canon(PermPair(conjugate(pair.sigma, relabel),
+                                         conjugate(pair.alpha, relabel)))
                 if (can.sigma, can.alpha) != (can2.sigma, can2.alpha):
-                    return {
-                        "n": n,
-                        "sigma": format_permutation(pair.sigma),
-                        "alpha": format_permutation(pair.alpha),
-                        "relabel": format_permutation(relabel),
-                        "reason": "canonical form depends on the labeling",
-                    }
+                    yield {"n": n, "sigma": format_permutation(pair.sigma),
+                           "alpha": format_permutation(pair.alpha),
+                           "relabel": format_permutation(relabel),
+                           "reason": "canonical form depends on the labeling"}
             forms.add((can.sigma.images, can.alpha.images))
         ctx["labeled_pairs"][n] = labeled
         expected_labeled = math.factorial(n - 1) * c_count(n + 1)
         if labeled != expected_labeled:
-            return {"n": n, "labeled": labeled, "expected": expected_labeled}
+            yield {"n": n, "labeled": labeled, "expected": expected_labeled}
         expected_rooted = c_count(n + 1)
         if len(forms) != expected_rooted:
-            return {"n": n, "rooted": len(forms), "expected": expected_rooted}
-    return None
+            yield {"n": n, "rooted": len(forms), "expected": expected_rooted}
 
 
-def _check_transitive_probability(ctx: dict) -> dict | None:
+def _check_transitive_probability(ctx: dict) -> Iterator[dict]:
     for n in range(1, ctx["pair_max_n"] + 1):
         # the census's count, unless it stopped before finishing size n
         pairs = ctx["labeled_pairs"].get(n)
@@ -373,34 +354,32 @@ def _check_transitive_probability(ctx: dict) -> dict | None:
         brute = Fraction(pairs, math.factorial(n) ** 2)
         formula = transitive_probability(n)
         if brute != formula:
-            return {"n": n, "brute": str(brute), "formula": str(formula)}
-    return None
+            yield {"n": n, "brute": str(brute), "formula": str(formula)}
 
 
-def _check_path_round_trip(ctx: dict) -> dict | None:
+def _check_path_round_trip(ctx: dict) -> Iterator[dict]:
     for n in range(1, ctx["max_n"] + 1):
         for p in enum_permutations(n):
             w = delta(p)
             if len(w.word) != 2 * n or not validate_labeling(w):
-                return {"n": n, "perm": format_permutation(p), "reason": "invalid word"}
+                yield _witness("n", n, p, "invalid word")
             if delta_inverse(w) != p:
-                return {"n": n, "perm": format_permutation(p), "reason": "round trip"}
+                yield _witness("n", n, p, "round trip")
             b0 = sum(1 for t in w.word if t == "b0")
             b1 = sum(1 for t in w.word if t == "b1")
             fixed = sum(1 for i in range(1, n + 1) if p(i) == i)
             k = len(lr_maxima(p))
             if b0 != _cycle_count(p.images):
-                return {"n": n, "perm": format_permutation(p), "reason": "cycle count"}
+                yield _witness("n", n, p, "cycle count")
             if is_primitive(w.underlying()) != is_indecomposable(p):
-                return {"n": n, "perm": format_permutation(p), "reason": "primitivity"}
+                yield _witness("n", n, p, "primitivity")
             if not b1 <= k <= b1 + fixed:
-                return {"n": n, "perm": format_permutation(p), "reason": "maxima bound"}
+                yield _witness("n", n, p, "maxima bound")
             if n >= 2 and is_indecomposable(p) and b1 != k:
-                return {"n": n, "perm": format_permutation(p), "reason": "maxima count"}
-    return None
+                yield _witness("n", n, p, "maxima count")
 
 
-def _check_labeling_counts(ctx: dict) -> dict | None:
+def _check_labeling_counts(ctx: dict) -> Iterator[dict]:
     for n in range(0, min(ctx["max_n"], 6) + 1):
         total = 0
         for word in enum_dyck_paths(n):
@@ -410,78 +389,60 @@ def _check_labeling_counts(ctx: dict) -> dict | None:
                 for lp in enum_labelings(word, scheme):
                     got += 1
                     swapped = convert_label_scheme(lp)
-                    if swapped.underlying() != word or not validate_labeling(swapped):
-                        return {"word": word, "labeling": " ".join(lp.word)}
-                    if convert_label_scheme(swapped) != lp:
-                        return {"word": word, "labeling": " ".join(lp.word)}
+                    if (swapped.underlying() != word or not validate_labeling(swapped)
+                            or convert_label_scheme(swapped) != lp):
+                        yield {"word": word, "labeling": " ".join(lp.word)}
                 if got != expected:
-                    return {"word": word, "scheme": scheme, "count": got, "expected": expected}
+                    yield {"word": word, "scheme": scheme, "count": got, "expected": expected}
             total += expected
         if total != math.factorial(n):
-            return {"n": n, "total": total, "expected": math.factorial(n)}
-    return None
+            yield {"n": n, "total": total, "expected": math.factorial(n)}
 
 
-def _check_path_polynomials(ctx: dict) -> dict | None:
+def _coefficients(n: int, poly: BivariatePoly, joint: dict) -> Iterator[dict]:
+    # each (cycles, maxima) coefficient of poly against the exhaustive count
+    for (p_cyc, q_max), cnt in sorted(joint.items()):
+        if poly.coefficient(p_cyc, q_max) != cnt:
+            yield {"n": n, "cycles": p_cyc, "maxima": q_max,
+                   "poly": poly.coefficient(p_cyc, q_max), "exhaustive": cnt}
+
+
+def _check_path_polynomials(ctx: dict) -> Iterator[dict]:
     # L_family itself checks L'_1 = L_1 = x, L_n(1, 1) = n! and L'_n's symmetry
     for n in range(2, ctx["max_n"] + 1):
         Lp = L_family(n)[1]
         joint = ctx["tables"](n).project(("cycles", "lr_maxima"), indecomposable_only=True)
-        for (p_cyc, q_max), cnt in sorted(joint.items()):
-            if Lp.coefficient(p_cyc, q_max) != cnt:
-                return {
-                    "n": n,
-                    "cycles": p_cyc,
-                    "maxima": q_max,
-                    "poly": Lp.coefficient(p_cyc, q_max),
-                    "exhaustive": cnt,
-                }
+        yield from _coefficients(n, Lp, joint)
         if sum(joint.values()) != Lp.evaluate(1, 1):
-            return {"n": n, "reason": "primitive total"}
-    return None
+            yield {"n": n, "reason": "primitive total"}
 
 
-def _check_joint_polynomial(ctx: dict) -> dict | None:
+def _check_joint_polynomial(ctx: dict) -> Iterator[dict]:
     for n in range(1, ctx["max_n"] + 1):
         table = ctx["tables"](n)
         joint = table.project(("cycles", "lr_maxima"))
-        J = joint_perm_poly(n)
-        for (p_cyc, q_max), cnt in sorted(joint.items()):
-            if J.coefficient(p_cyc, q_max) != cnt:
-                return {
-                    "n": n,
-                    "cycles": p_cyc,
-                    "maxima": q_max,
-                    "poly": J.coefficient(p_cyc, q_max),
-                    "exhaustive": cnt,
-                }
-        swapped = {(q, p): c for (p, q), c in joint.items()}
-        if swapped != joint:
-            return {"n": n, "reason": "table not symmetric"}
-        by_max_cycles = table.project(("lr_maxima", "cycles"))
-        by_max_minima = table.project(("lr_maxima", "rl_minima"))
-        if by_max_cycles != by_max_minima:
-            return {"n": n, "reason": "cycles vs right-to-left minima marginal"}
-    return None
+        yield from _coefficients(n, joint_perm_poly(n), joint)
+        if {(q, p): c for (p, q), c in joint.items()} != joint:
+            yield {"n": n, "reason": "table not symmetric"}
+        if table.project(("lr_maxima", "cycles")) != table.project(("lr_maxima", "rl_minima")):
+            yield {"n": n, "reason": "cycles vs right-to-left minima marginal"}
 
 
-def _check_map_counts(ctx: dict) -> dict | None:
+def _check_map_counts(ctx: dict) -> Iterator[dict]:
     for size in range(2, ctx["fpf_max_size"] + 1, 2):
         m = size // 2
-        total = 0
-        indec = 0
+        total = indec = 0
         for t in enum_fpf_involutions(size):
             total += 1
             if is_indecomposable(t):
                 indec += 1
         if total != double_factorial_odd(m):
-            return {"size": size, "total": total, "expected": double_factorial_odd(m)}
+            yield {"size": size, "total": total, "expected": double_factorial_odd(m)}
         if indec != i_count(m):
-            return {"size": size, "indecomposable": indec, "formula": i_count(m)}
-    return None
+            yield {"size": size, "indecomposable": indec, "formula": i_count(m)}
 
 
-def _check_map_round_trip(ctx: dict) -> dict | None:
+def _check_map_round_trip(ctx: dict) -> Iterator[dict]:
     for size in range(4, ctx["fpf_max_size"] + 1, 2):
         m_edges = (size - 2) // 2
         census: Counter[int] = Counter()
@@ -490,34 +451,29 @@ def _check_map_round_trip(ctx: dict) -> dict | None:
                 continue
             mp = psi_prime(t)
             if not is_fpf_involution(mp.alpha):
-                return {"size": size, "theta": format_permutation(t), "reason": "not a pairing"}
+                yield _witness("size", size, t, "not a pairing")
             vertices = _cycle_count(mp.sigma.images)
             if vertices != len(lr_maxima(t)):
-                return {"size": size, "theta": format_permutation(t), "reason": "vertex count"}
+                yield _witness("size", size, t, "vertex count")
             if psi_prime_inverse(mp) != t:
-                return {"size": size, "theta": format_permutation(t), "reason": "round trip"}
+                yield _witness("size", size, t, "round trip")
             census[vertices] += 1
         Mp = M_family(m_edges + 1)[1]
-        expected = {
-            v: Mp.coefficient(0, v)
-            for v in range(1, m_edges + 2)
-            if Mp.coefficient(0, v)
-        }
+        expected = {v: Mp.coefficient(0, v) for v in range(1, m_edges + 2)
+                    if Mp.coefficient(0, v)}
         if dict(census) != expected:
-            return {"size": size, "census": dict(census), "expected": expected}
-    return None
+            yield {"size": size, "census": dict(census), "expected": expected}
 
 
-def _check_map_functional_equation(ctx: dict) -> dict | None:
+def _check_map_functional_equation(ctx: dict) -> Iterator[dict]:
     order = 6
     residual = arques_beraud_check(order)
     for m in range(order + 1):
         if not residual.coefficient(m).is_zero:
-            return {"order": m, "coefficient": residual.coefficient(m).to_string()}
-    return None
+            yield {"order": m, "coefficient": residual.coefficient(m).to_string()}
 
 
-_CHECKS: tuple[tuple[str, Callable[[dict], dict | None]], ...] = (
+_CHECKS: tuple[tuple[str, Callable[[dict], Iterator[dict]]], ...] = (
     ("indecomposable-count", _check_indecomposable_count),
     ("stirling-triangle", _check_stirling_triangle),
     ("fundamental-transform", _check_fundamental_transform),
@@ -580,9 +536,7 @@ def verify_suite(
         "labeled_pairs": {},
     }
     results = []
-    for name, fn in _CHECKS:
-        witness = fn(ctx)
-        results.append(
-            CheckResult(name, "pass" if witness is None else "fail", witness)
-        )
+    for name, check in _CHECKS:
+        witness = next(check(ctx), None)
+        results.append(CheckResult(name, "pass" if witness is None else "fail", witness))
     return VerifyReport(results)

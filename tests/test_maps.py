@@ -135,12 +135,23 @@ def test_psi_prime_inverse_declares_internal_faults(monkeypatch):
     with monkeypatch.context() as mp:
         # a form whose vertices are not intervals
         mp.setattr(
-            permaps.maps,
+            permaps.hypermap,
             "canonical_rooted_form",
             lambda h: (Hypermap(h.sigma, h.alpha), identity(h.n)),
         )
         with pytest.raises(InternalMismatch):
             psi_prime_inverse(m)
+
+
+def test_psi_prime_output_equals_a_checked_rooted_map():
+    # psi_prime's map skips RootedMap's checks; it must be
+    # indistinguishable from one built through RootedMap(...)
+    for size in range(4, 11, 2):
+        for theta in filter(is_indecomposable, fpf_involutions(size)):
+            m = psi_prime(theta)
+            checked = RootedMap(Permutation(m.sigma.images), Permutation(m.alpha.images))
+            assert type(m) is RootedMap and type(m.sigma) is Permutation
+            assert m == checked and hash(m) == hash(checked)
 
 
 def test_psi_prime_inverse_canonicalizes_once(monkeypatch):
@@ -152,7 +163,7 @@ def test_psi_prime_inverse_canonicalizes_once(monkeypatch):
         calls.append(h)
         return canonical_rooted_form(h)
 
-    monkeypatch.setattr(permaps.maps, "canonical_rooted_form", counted)
+    monkeypatch.setattr(permaps.maps, "canonical_rooted_form", counted, raising=False)
     monkeypatch.setattr(permaps.hypermap, "canonical_rooted_form", counted)
     theta = Permutation((4, 6, 5, 1, 3, 2))
     assert psi_prime_inverse(psi_prime(theta)) == theta

@@ -3,8 +3,17 @@ import math
 import pytest
 
 from permaps import oracle
-from permaps.dyck import delta_inverse
-from permaps.enumpoly import BivariatePoly, L_family, c_count, c_poly, i_count
+from permaps.dyck import count_labelings, delta_inverse
+from permaps.enumpoly import (
+    BivariatePoly,
+    L_family,
+    SeriesInZ,
+    c_count,
+    c_poly,
+    i_count,
+    joint_perm_poly,
+    transitive_probability,
+)
 from permaps.errors import LimitExceeded
 from permaps.hypermap import psi_inverse
 from permaps.maps import psi_prime_inverse
@@ -17,7 +26,7 @@ from permaps.oracle import (
     joint_distribution,
     verify_suite,
 )
-from permaps.perm import Permutation
+from permaps.perm import Permutation, fundamental_transform_inverse
 
 
 def test_enum_permutations():
@@ -258,6 +267,16 @@ def _plus_xy_at_3(n):
     return L, (Lp + BivariatePoly.monomial(1, 1) if n == 3 else Lp)
 
 
+def _joint_plus_xy_at_3(n):
+    J = joint_perm_poly(n)
+    return J + BivariatePoly.monomial(1, 1) if n == 3 else J
+
+
+def _y_times_z(order):
+    # a nonzero residual: the series y*z
+    return SeriesInZ([BivariatePoly.zero(), BivariatePoly.y()], order)
+
+
 @pytest.mark.parametrize(
     "name, broken, check, witness",
     [
@@ -271,6 +290,18 @@ def _plus_xy_at_3(n):
          {"n": 3, "cycles": 1, "maxima": 1, "poly": 2, "exhaustive": 1}),
         ("i_count", lambda m: i_count(m) + (m == 2), "map-counts",
          {"size": 4, "indecomposable": 2, "formula": 3}),
+        ("fundamental_transform_inverse", _rotated_on_3(fundamental_transform_inverse),
+         "fundamental-transform", {"n": 3, "perm": "3,1,2", "reason": "round trip"}),
+        ("phi_bijection", lambda p: p, "statistic-swap-involution",
+         {"n": 3, "perm": "2,3,1", "reason": "statistic"}),
+        ("transitive_probability", lambda n: transitive_probability(n) + (n == 2),
+         "transitive-probability", {"n": 2, "brute": "3/4", "formula": "7/4"}),
+        ("count_labelings", lambda w, s: count_labelings(w, s) + (w == "aabb"),
+         "labeling-counts", {"word": "aabb", "scheme": "delta", "count": 1, "expected": 2}),
+        ("joint_perm_poly", _joint_plus_xy_at_3, "joint-polynomial",
+         {"n": 3, "cycles": 1, "maxima": 1, "poly": 2, "exhaustive": 1}),
+        ("arques_beraud_check", _y_times_z, "map-functional-equation",
+         {"order": 1, "coefficient": "y"}),
     ],
 )
 def test_edited_checks_still_fail(monkeypatch, name, broken, check, witness):
