@@ -15,7 +15,7 @@ way a path with heights h_1..h_j ahead of its non-peak b's admits
 exactly prod (h_i + 1) labelings, and ``convert_label_scheme`` is the
 involution between the two schemes that fixes the underlying path.
 Every function here that reads a word walks it once, through
-``_b_steps``, and ``_labels`` is the one rule for admissible labels.
+``_b_steps``; the schemes differ only in the peak label, ``_peak_label``.
 
 ``delta`` encodes a permutation by scanning 1..n: a cycle minimum of a
 k-cycle contributes a^k b0 and opens a block of k slots (slot 0 taken by
@@ -75,7 +75,7 @@ __all__ = [
 DELTA = "delta"
 RV = "rv"
 
-_TOKEN = re.compile(r"(?:a|b\d+)\Z")
+_TOKEN = re.compile(r"(?:a|b\d+)\Z", re.ASCII)
 
 
 def _check_scheme(scheme: str) -> None:
@@ -145,11 +145,10 @@ def _b_steps(word: Sequence[str]) -> Iterator[tuple[int, int, int]]:
     raise InvalidPath(f"not a Dyck word: {word!r}")
 
 
-def _labels(scheme: str) -> tuple[int, int]:
-    """The label rule of scheme as (peak, least): a b step right after an
-    a takes label ``peak``, and any other b step takes a label from
-    ``least`` up to the height in front of it."""
-    return (0, 1) if scheme == DELTA else (1, 1)
+def _peak_label(scheme: str) -> int:
+    """The label of a b step right after an a under scheme; any other b
+    step takes a label from 1 up to the height in front of it."""
+    return 0 if scheme == DELTA else 1
 
 
 def validate_dyck(word: str) -> bool:
@@ -173,11 +172,11 @@ def _checked_b_steps(lp: LabeledDyckPath) -> Iterator[tuple[int, int, int, int]]
     raises InvalidLabeling at the first label or step that breaks the
     scheme or the Dyck word."""
     word, scheme = lp.word, lp.scheme
-    peak, least = _labels(scheme)
+    peak = _peak_label(scheme)
     try:
         for i, height, run in _b_steps(word):
             label = int(word[i][1:])
-            if (label != peak) if run else not least <= label <= height:
+            if (label != peak) if run else not 1 <= label <= height:
                 break
             yield i, height, run, label
         else:
@@ -411,24 +410,25 @@ def convert_label_scheme(lp: LabeledDyckPath) -> LabeledDyckPath:
 
 
 def enum_dyck_paths(n: int) -> Iterator[str]:
-    """All Dyck words with n a's, lexicographically (a before b)."""
+    """All Dyck words with n a's, lexicographically (a before b): from
+    a^n b^n, the rightmost a with more b's than a's from it to the end
+    turns b, and the steps after it are rewritten a's first."""
     if n < 0:
         raise ValueError("need n >= 0")
-
-    def extend(word: list[str], na: int, nb: int) -> Iterator[str]:
-        if na == n and nb == n:
-            yield "".join(word)
+    word = "a" * n + "b" * n
+    while True:
+        yield word
+        ups = downs = 0
+        for i in range(2 * n - 1, -1, -1):
+            if word[i] == "b":
+                downs += 1
+                continue
+            ups += 1
+            if downs > ups:
+                word = word[:i] + "b" + "a" * ups + "b" * (downs - 1)
+                break
+        else:
             return
-        if na < n:
-            word.append("a")
-            yield from extend(word, na + 1, nb)
-            word.pop()
-        if nb < na:
-            word.append("b")
-            yield from extend(word, na, nb + 1)
-            word.pop()
-
-    return extend([], 0, 0)
 
 
 def _label_choices(word: str, scheme: str) -> list[tuple[int, range]]:
@@ -436,8 +436,8 @@ def _label_choices(word: str, scheme: str) -> list[tuple[int, range]]:
     # not Dyck raises InvalidPath even when the scheme is unknown too
     steps = list(_b_steps(word))
     _check_scheme(scheme)
-    peak, least = _labels(scheme)
-    return [(i, range(peak, peak + 1) if run else range(least, h + 1)) for i, h, run in steps]
+    peak = _peak_label(scheme)
+    return [(i, range(peak, peak + 1) if run else range(1, h + 1)) for i, h, run in steps]
 
 
 def enum_labelings(word: str, scheme: str = DELTA) -> Iterator[LabeledDyckPath]:

@@ -87,7 +87,8 @@ class BivariatePoly:
         acc: dict[tuple[int, int], int] = {}
         items = coeffs.items() if isinstance(coeffs, dict) else (coeffs or ())
         for (px, py), v in items:
-            px, py, v = int(px), int(py), int(v)
+            if type(px) is not int or type(py) is not int or type(v) is not int:
+                raise ValueError(f"exponents and coefficients must be ints: {(px, py)}: {v!r}")
             if px < 0 or py < 0:
                 raise ValueError("negative exponent")
             if v:

@@ -15,6 +15,7 @@ demonstrate that it catches regressions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -96,26 +97,26 @@ def enum_permutations(n: int) -> Iterator[Permutation]:
 
 
 def enum_fpf_involutions(n: int) -> Iterator[Permutation]:
-    """All (n-1)!! fixed-point-free involutions of {1..n}, n even,
-    ordered by the partner chosen for the smallest unpaired element."""
+    """All (n-1)!! fixed-point-free involutions of {1..n}, n even, ordered
+    by the partner chosen for the smallest unpaired element: a counter of
+    partner ranks in mixed radix n-1, n-3, ..., 1, stepped in one loop."""
     if n < 2 or n % 2:
         raise ValueError("need even n >= 2")
-
-    def rec(avail: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if not avail:
-            yield ()
-            return
-        first = avail[0]
-        for k in avail[1:]:
-            rest = tuple(x for x in avail[1:] if x != k)
-            for pairs in rec(rest):
-                yield ((first, k),) + pairs
-
-    for pairs in rec(tuple(range(1, n + 1))):
+    ranks = [0] * (n // 2)
+    while True:
+        free = list(range(n, 0, -1))  # unpaired elements, smallest last
         img = [0] * (n + 1)
-        for a, b in pairs:
+        for r in ranks:  # r pairs the smallest with the (r+1)-th of the rest
+            a, b = free.pop(), free.pop(~r)
             img[a], img[b] = b, a
         yield _perm(tuple(img[1:]))
+        for i in reversed(range(len(ranks))):
+            if ranks[i] < n - 2 - 2 * i:
+                ranks[i] += 1
+                break
+            ranks[i] = 0
+        else:
+            return
 
 
 @dataclass
@@ -185,6 +186,12 @@ def count_transitive_pairs(n: int, limit: int = 5) -> int:
     return sum(1 for _ in _transitive_pairs(n))
 
 
+def _census(n: int, canon: Callable) -> Iterator[tuple[PermPair, Hypermap, Permutation]]:
+    # every transitive pair on n darts with its canonical form and relabeling
+    for pair in _transitive_pairs(n):
+        yield pair, *canon(pair)
+
+
 def hypermap_census(n: int, limit: int = 5) -> tuple[int, int]:
     """(labeled, rooted) hypermap counts on n darts by brute force:
     transitive pairs, and distinct canonical forms among them."""
@@ -194,9 +201,8 @@ def hypermap_census(n: int, limit: int = 5) -> tuple[int, int]:
         raise ValueError("need n >= 1")
     labeled = 0
     forms: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for pair in _transitive_pairs(n):
+    for _, can, _ in _census(n, canonical_rooted_form):
         labeled += 1
-        can, _ = canonical_rooted_form(pair)
         forms.add((can.sigma.images, can.alpha.images))
     return labeled, len(forms)
 
@@ -320,9 +326,8 @@ def _check_hypermap_census(ctx: dict) -> Iterator[dict]:
         relabel = Permutation((2, 1) + tuple(range(3, n + 1))) if n >= 3 else None
         labeled = 0
         forms: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-        for pair in _transitive_pairs(n):
+        for pair, can, phi in _census(n, canon):
             labeled += 1
-            can, phi = canon(pair)
             if phi(n) != n:
                 yield {"n": n, "sigma": format_permutation(pair.sigma),
                        "alpha": format_permutation(pair.alpha),
@@ -520,19 +525,12 @@ def verify_suite(
         def canon(pair):  # noqa: F811 - deliberate fault stand-in
             return Hypermap(pair.sigma, pair.alpha), identity(pair.n)
 
-    table_cache: dict[int, DistributionTable] = {}
-
-    def tables(n: int) -> DistributionTable:
-        if n not in table_cache:
-            table_cache[n] = joint_distribution(n)
-        return table_cache[n]
-
     ctx = {
         "max_n": max_n,
         "pair_max_n": pair_max_n,
         "fpf_max_size": fpf_max_size,
         "canon": canon,
-        "tables": tables,
+        "tables": functools.cache(joint_distribution),
         "labeled_pairs": {},
     }
     results = []

@@ -206,8 +206,8 @@ def from_cycles(cycs: Iterable[Sequence[int]], n: int | None = None) -> Permutat
     return _perm(tuple(img[1:]))
 
 
-_ONE_LINE_TOKEN = re.compile(r"[1-9]\d*\Z")
-_CYCLE_TEXT = re.compile(r"(\(\d+(,\d+)*\))+\Z")
+_ONE_LINE_TOKEN = re.compile(r"[1-9]\d*\Z", re.ASCII)
+_CYCLE_TEXT = re.compile(r"(\(\d+(,\d+)*\))+\Z", re.ASCII)
 
 
 def _ints(tokens: list[str], n: int) -> tuple[int, ...]:

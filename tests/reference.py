@@ -12,11 +12,14 @@ per size.  The labeling checks keep their own height counters, one
 loop per check, where the library reads every word through one step
 walker.  ``reference_satisfies_lemma1`` is the syntactic test as first
 written, through the inverse of alpha, its right-to-left minima and two
-sets.  ``reference_psi_prime`` and its inverse go through the full
-hypermap bijection on 2m+1 darts, deleting and reinserting the dart
-j = theta(2m+2), where the library uses the closed form.  They live
-with the tests rather than in the package so that ``import permaps``
-does not load code only tests run.
+sets.  ``reference_enum_dyck_paths`` and
+``reference_enum_fpf_involutions`` are the enumerators as first
+written, recursive generators with one frame per step or pair, which
+pin the order of the library's one-loop forms.  ``reference_psi_prime``
+and its inverse go through the full hypermap bijection on 2m+1 darts,
+deleting and reinserting the dart j = theta(2m+2), where the library
+uses the closed form.  They live with the tests rather than in the
+package so that ``import permaps`` does not load code only tests run.
 
 The random generators at the end build permutations with a chosen
 block structure, so tests at large n reach both indecomposable and
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from random import Random
+from typing import Iterator
 
 from permaps.enumpoly import BivariatePoly, SeriesInZ
 from permaps.dyck import DELTA, RV, LabeledDyckPath, format_labeled_path
@@ -402,6 +406,44 @@ def reference_psi_prime_inverse(m: Hypermap) -> Permutation:
     alpha_images[j] = j
     sigma = _interval_cycles(endpoints, can.n + 1)
     return psi_inverse(Hypermap(sigma, Permutation(tuple(alpha_images[1:]))))
+
+
+def reference_enum_dyck_paths(n: int) -> Iterator[str]:
+    """``dyck.enum_dyck_paths`` by depth-first extension, a before b."""
+    def extend(word: list[str], na: int, nb: int) -> Iterator[str]:
+        if na == n and nb == n:
+            yield "".join(word)
+            return
+        if na < n:
+            word.append("a")
+            yield from extend(word, na + 1, nb)
+            word.pop()
+        if nb < na:
+            word.append("b")
+            yield from extend(word, na, nb + 1)
+            word.pop()
+
+    return extend([], 0, 0)
+
+
+def reference_enum_fpf_involutions(n: int) -> Iterator[Permutation]:
+    """``oracle.enum_fpf_involutions`` by pairing the smallest unpaired
+    element with each later one in turn, then recursing on the rest."""
+    def rec(avail: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+        if not avail:
+            yield ()
+            return
+        first = avail[0]
+        for k in avail[1:]:
+            rest = tuple(x for x in avail[1:] if x != k)
+            for pairs in rec(rest):
+                yield ((first, k),) + pairs
+
+    for pairs in rec(tuple(range(1, n + 1))):
+        img = [0] * (n + 1)
+        for a, b in pairs:
+            img[a], img[b] = b, a
+        yield Permutation(tuple(img[1:]))
 
 
 def reference_path_families(N: int, peak: BivariatePoly | None):

@@ -37,6 +37,7 @@ from reference import (
     reference_convert_label_scheme,
     reference_count_labelings,
     reference_delta_inverse,
+    reference_enum_dyck_paths,
     reference_validate_labeling,
 )
 
@@ -77,6 +78,9 @@ def test_token_syntax():
             LabeledDyckPath(("a", tok), DELTA)
     with pytest.raises(ValueError):
         LabeledDyckPath(("a", "b0"), "other")
+    # int() reads "b\u0660" (ARABIC-INDIC ZERO) as label 0: a second "a b0"
+    with pytest.raises(ParseError):
+        parse_labeled_path("a b\u0660")
 
 
 def test_validate_labeling_delta():
@@ -227,6 +231,16 @@ def test_enum_dyck_paths_catalan():
     assert list(enum_dyck_paths(2)) == ["aabb", "abab"]
     with pytest.raises(ValueError):
         list(enum_dyck_paths(-1))
+
+
+def test_enum_dyck_paths_matches_reference():
+    for n in range(10):
+        assert list(enum_dyck_paths(n)) == list(reference_enum_dyck_paths(n))
+
+
+def test_enum_dyck_paths_does_not_recurse():
+    # the recursive form needs a frame per step, past the default limit here
+    assert next(enum_dyck_paths(2000)) == "a" * 2000 + "b" * 2000
 
 
 def test_labeling_counts():

@@ -47,6 +47,11 @@ def test_poly_arithmetic():
     assert p.evaluate(Fraction(1, 2), Fraction(1, 2)) == 1
     with pytest.raises(ValueError):
         BivariatePoly({(-1, 0): 1})
+    # int() would truncate 1.5 and 2.7 and read "2"; bools are not ints here
+    for bad in ({(1.5, 0): 2}, {(1, 0): 2.7}, {(1, 0): "2"}, {(1, "0"): 2},
+                {(True, 0): 1}, {(1, 0): True}, [((0, 0.0), 1)]):
+        with pytest.raises(ValueError):
+            BivariatePoly(bad)
 
 
 def test_poly_substitution_and_swap():

@@ -27,6 +27,7 @@ from permaps.oracle import (
     verify_suite,
 )
 from permaps.perm import Permutation, fundamental_transform_inverse
+from reference import reference_enum_fpf_involutions
 
 
 def test_enum_permutations():
@@ -47,6 +48,18 @@ def test_enum_fpf_involutions():
         next(enum_fpf_involutions(5))
     with pytest.raises(ValueError):
         next(enum_fpf_involutions(0))
+
+
+def test_enum_fpf_involutions_matches_reference():
+    for n in range(2, 13, 2):
+        assert [t.images for t in enum_fpf_involutions(n)] == [
+            t.images for t in reference_enum_fpf_involutions(n)
+        ]
+
+
+def test_enum_fpf_involutions_does_not_recurse():
+    # the recursive form needs a frame per pair, past the default limit here
+    assert next(enum_fpf_involutions(6000)).images[:4] == (2, 1, 4, 3)
 
 
 def test_joint_distribution_marginals():

@@ -77,6 +77,9 @@ def test_parse_one_line():
         parse_permutation("0,1")
     with pytest.raises(ParseError):
         parse_permutation("")
+    # int() reads any Unicode digit: "1\u0660" (ARABIC-INDIC ZERO) as 10
+    with pytest.raises(ParseError):
+        parse_permutation("1\u0660,2,3,4,5,6,7,8,9,1")
     with pytest.raises(NotABijection):
         parse_permutation("1,1")
     with pytest.raises(NotABijection):
@@ -95,6 +98,8 @@ def test_parse_cycle():
         parse_permutation("1,2", notation="cycle")
     with pytest.raises(ParseError):
         parse_permutation("()", notation="cycle")
+    with pytest.raises(ParseError):
+        parse_permutation("(\u0661,\u0662)", notation="cycle")
     # omitted fixed points are an error, not an implicit identity
     with pytest.raises(NotABijection):
         parse_permutation("(2,3)", notation="cycle")
