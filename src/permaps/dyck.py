@@ -31,12 +31,14 @@ size >= 2) left-to-right maxima to b1 steps.
 
 Both directions run in O(n log n).  The blocks share one flat slot
 array in creation order, so "cyclically from the pivot" is a cyclic
-range of positions; a Fenwick tree of free flags turns a label into a
-rank query (``delta``) or a select (``delta_inverse``), and the pivot
-comes from a queue of candidates that only moves forward.  The count of
-free slots left of the pivot is kept between steps, so each placed
-element costs one descent of the tree, which ranks or finds its slot and
-takes it.
+range of positions.  The free slots are kept as sorted runs of at most
+1024 under a Fenwick tree of run lengths, which turns a label into a
+rank query (``delta``) or a select (``delta_inverse``); the pivot comes
+from a queue of candidates that only moves forward.  The count of free
+slots left of the pivot is kept between steps, so each placed element
+costs one descent over the runs, then a bisect or an index into one
+run and a delete from it.  Each direction is one loop over the word or
+the elements, with its state in locals.
 """
 
 from __future__ import annotations
@@ -44,15 +46,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import (
-    InvalidLabeling,
-    InvalidPath,
-    ParseError,
-    PlacementOutOfRange,
-)
+from .errors import InvalidLabeling, InvalidPath, ParseError
 from .perm import Permutation, _perm
 
 __all__ = [
@@ -196,6 +194,9 @@ def validate_labeling(lp: LabeledDyckPath) -> bool:
     return True
 
 
+_RUN_BITS = 10  # run r holds the free slots in [1024 r, 1024 (r + 1))
+
+
 class _Slots:
     """Cycle blocks laid out in one flat array of n slots.
 
@@ -206,137 +207,60 @@ class _Slots:
     in the flat array is the cyclic range over [0, opened) starting
     there.
 
-    ``_tree`` is a Fenwick tree (Fenwick 1994) of free flags over the
-    array, sized to a power of two so that a descent from its top stays
-    in it.  Slots not yet opened, or past n, count as free; that is
-    harmless, since every query stays below ``_opened``.  Placing an
-    element is one descent: toward a given slot for a rank, adding up
-    the nodes it steps past, or by count for a select.  The nodes a
-    descent does not step past are exactly the nodes covering the slot
-    it reaches, so it takes the slot by decrementing them on the way.
-    Opening a block takes its slot 0 with one update walk.
-    ``_before``, the free slots left of the pivot, is counted again only
-    when the pivot moves, and drops by one when a slot left of it fills.
+    The free slots are kept as sorted runs, one per 1024 slots, under a
+    Fenwick tree (Fenwick 1994) of the run lengths.  The tree is sized to
+    a power of two above the run count, so that a descent from its top
+    stays in it.  Slots not yet opened count as free, and the tree counts
+    every run, even one past n, as 1024 free slots; that is harmless,
+    since all of these lie right of every opened slot and no count
+    reaches them.  Placing an element is one descent: toward a given run
+    for a rank, adding up the nodes it steps past, or by count for a
+    select.  The nodes a descent does not step past are exactly the
+    nodes covering the run it reaches, so it takes the slot by
+    decrementing them on the way, then by deleting it from its run,
+    which moves at most 1024 entries.  The run length is a constant, so
+    a placement costs O(log n).
 
     The pivot is the smallest placed element whose successor slot in its
     own block is free.  Elements are placed in increasing order, so
-    pivot candidates join ``_cands`` in increasing order; a candidate
+    pivot candidates join ``cands`` in increasing order; a candidate
     dies once its successor slot fills and never revives, so a head
-    that only moves forward finds the pivot.  The pivot moves at most n
-    times in all, each time for one prefix count, so a whole encoding
-    or decoding costs O(n log n).
+    that only moves forward finds the pivot.  ``delta`` and
+    ``delta_inverse`` each place every element in one loop over this
+    state.  They count the free slots left of the pivot again only when
+    the pivot moves, at most n times in all, and drop that count by one
+    when a slot left of it fills; a whole encoding or decoding costs
+    O(n log n).
     """
 
     def __init__(self, n: int) -> None:
-        self._n = n
-        self._tree = [i & -i for i in range(1 << n.bit_length())]  # every slot free
-        self._steps = [1 << k for k in reversed(range(n.bit_length()))]  # descent offsets
-        self._elt = [0] * n  # element in each slot, 0 while free
-        self._last = bytearray(n)  # 1 at the last slot of each block
-        self._cands: list[int] = []  # slots of pivot candidates
-        self._head = 0
-        self._at = -1  # the pivot's slot when ``_before`` was counted
-        self._before = 0
-        self._opened = 0
-        self._free = 0
+        self.n = n
+        self.elt = [0] * n  # element in each slot, 0 while free
+        self.last = bytearray(n)  # 1 at the last slot of each block
+        self.cands: list[int] = []  # slots of pivot candidates
+        size = 1 << _RUN_BITS
+        self.runs = [list(range(s, min(s + size, n))) for s in range(0, n, size)]
+        bits = len(self.runs).bit_length()
+        self.tree = [(i & -i) << _RUN_BITS for i in range(1 << bits)]  # every slot free
+        self.steps = [1 << k for k in reversed(range(bits))]  # descent offsets
 
-    def _pivot(self) -> int:
-        """The pivot's slot, with ``_before`` counted for it."""
-        cands, elt = self._cands, self._elt
-        head = self._head
-        while elt[cands[head] + 1]:
-            head += 1
-        self._head = head
-        at = cands[head]
-        if at != self._at:
-            self._at = at
-            tree = self._tree
-            before = 0
-            i = at
-            while i:
-                before += tree[i]
-                i &= i - 1
-            self._before = before
-        return at
-
-    def _fill(self, element: int, pos: int) -> None:
-        """Put ``element`` into the free slot ``pos``; the caller updates
-        the tree."""
-        elt = self._elt
-        elt[pos] = element
-        self._free -= 1
-        if not self._last[pos] and not elt[pos + 1]:
-            self._cands.append(pos)
-
-    def open_block(self, element: int, k: int) -> None:
-        """Open a block of k slots with ``element`` in its slot 0."""
-        start = self._opened
-        self._opened += k
-        self._free += k
-        self._last[start + k - 1] = 1
-        tree = self._tree
-        size = len(tree)
-        i = start + 1
-        while i < size:
-            tree[i] -= 1
-            i += i & -i
-        self._fill(element, start)
-
-    def take(self, element: int, pos: int) -> int:
-        """Put ``element`` into the free slot ``pos``; the slot's cyclic
-        rank counted from the pivot just before."""
-        at = self._pivot()
-        tree = self._tree
-        left = node = 0  # free slots left of pos, in the nodes stepped past
-        for step in self._steps:
-            nxt = node + step
-            if nxt <= pos:
-                node = nxt
-                left += tree[nxt]
-            else:  # nxt covers pos
-                tree[nxt] -= 1
-        before = self._before
-        if pos > at:
-            rank = left + 1 - before
-        else:
-            rank = self._free - before + left + 1
-            self._before = before - 1
-        self._fill(element, pos)
-        return rank
-
-    def take_rank(self, element: int, rank: int) -> None:
-        """Put ``element`` into the free slot whose cyclic rank from the
-        pivot is ``rank``."""
-        free = self._free
-        if rank > free:
-            raise PlacementOutOfRange(f"label {rank} with only {free} free slots")
-        self._pivot()
-        before = self._before
-        after = free - before  # free slots right of the pivot
-        if rank <= after:
-            target = before + rank
-        else:
-            target = rank - after
-            self._before = before - 1
-        tree = self._tree
-        pos = 0
-        for step in self._steps:
-            nxt = pos + step
-            count = tree[nxt]
-            if count < target:
-                pos = nxt
-                target -= count
-            else:  # nxt covers the slot sought
-                tree[nxt] = count - 1
-        self._fill(element, pos)
+    def free_before(self, pos: int) -> int:
+        """The number of free slots left of slot ``pos``."""
+        r = pos >> _RUN_BITS
+        count = bisect_left(self.runs[r], pos)
+        tree = self.tree
+        while r:
+            count += tree[r]
+            r &= r - 1
+        return count
 
     def to_permutation(self) -> Permutation:
-        """Read each block as a cycle; a word that ``_checked_b_steps``
-        passes has put n elements into the n slots, so none is empty."""
-        elt, last = self._elt, self._last
-        img = [0] * self._n
+        """Read each block as a cycle; a word that ``delta_inverse`` walks
+        to its end has put n elements into the n slots, so none is empty."""
+        elt, last = self.elt, self.last
+        img = [0] * self.n
         start = 0
-        for pos in range(self._n):
+        for pos in range(self.n):
             if last[pos]:
                 img[elt[pos] - 1] = elt[start]
                 start = pos + 1
@@ -363,15 +287,49 @@ def delta(p: Permutation) -> LabeledDyckPath:
             t, e = t + 1, images[e - 1]
         block_len[i], opened = t - opened, t
     slots = _Slots(n)
+    elt, last, cands, runs, tree, steps = (
+        slots.elt, slots.last, slots.cands, slots.runs, slots.tree, slots.steps
+    )
     tokens: list[str] = []
+    head = free = before = 0  # before: free slots left of the pivot at slot ``at``
+    at = -1
     for i in range(1, n + 1):
         k = block_len[i]
-        if k:
+        pos = slot_of[i]
+        if k:  # a new block opens right of every other slot
             tokens.extend(["a"] * k)
             tokens.append("b0")
-            slots.open_block(i, k)
+            free += k
+            last[pos + k - 1] = 1
         else:
-            tokens.append(f"b{slots.take(i, slot_of[i])}")
+            while elt[cands[head] + 1]:
+                head += 1
+            if cands[head] != at:
+                at = cands[head]
+                before = slots.free_before(at)
+        r = pos >> _RUN_BITS
+        left = node = 0  # free slots left of run r, in the nodes stepped past
+        for step in steps:
+            nxt = node + step
+            if nxt <= r:
+                node = nxt
+                left += tree[nxt]
+            else:  # nxt covers run r
+                tree[nxt] -= 1
+        run = runs[r]
+        j = bisect_left(run, pos)
+        del run[j]
+        if not k:
+            left += j
+            if pos > at:
+                tokens.append(f"b{left + 1 - before}")
+            else:
+                tokens.append(f"b{free - before + left + 1}")
+                before -= 1
+        free -= 1
+        elt[pos] = i
+        if not last[pos] and not elt[pos + 1]:
+            cands.append(pos)
     return _labeled_path(tuple(tokens), DELTA)
 
 
@@ -379,20 +337,71 @@ def delta_inverse(lp: LabeledDyckPath) -> Permutation:
     """Decode a delta-labeled path back to its permutation."""
     if lp.scheme != DELTA:
         raise InvalidLabeling(f"expected scheme {DELTA!r}, got {lp.scheme!r}")
-    if not lp.word:
+    word = lp.word
+    if not word:
         raise InvalidLabeling("empty word encodes no permutation")
-    # the walk stops at the first bad step, before any block could run past
-    # the n slots, and a label it passes is at most the height in front,
-    # which is the number of free slots
-    slots = _Slots(len(lp.word) // 2)
-    element = 0
-    for _, _, run, label in _checked_b_steps(lp):
+    # the walk keeps the rules of _checked_b_steps and stops at the first
+    # bad step, before any block could run past the n slots; a label it
+    # passes is at most the height in front, which is the number of free
+    # slots, so every select finds a slot
+    slots = _Slots(len(word) // 2)
+    elt, last, cands, runs, tree, steps = (
+        slots.elt, slots.last, slots.cands, slots.runs, slots.tree, slots.steps
+    )
+    end = len(word) - 1
+    height = ups = element = opened = head = free = before = 0
+    at = -1
+    for i, tok in enumerate(word):
+        if tok == "a":
+            height += 1
+            ups += 1
+            if height > end - i:
+                break
+            continue
+        try:
+            label = int(tok[1:])
+        except ValueError:  # more digits than int() reads
+            break
+        # a b step at height 0 follows no a and admits no label in 1..0
+        if (label != 0) if ups else not 1 <= label <= height:
+            break
+        height -= 1
         element += 1
-        if run:
-            slots.open_block(element, run)
+        if ups:  # a new block opens right of every other slot, at free slot free + 1
+            target = free + 1
+            free += ups
+            opened += ups
+            last[opened - 1] = 1
+            ups = 0
         else:
-            slots.take_rank(element, label)
-    return slots.to_permutation()
+            while elt[cands[head] + 1]:
+                head += 1
+            if cands[head] != at:
+                at = cands[head]
+                before = slots.free_before(at)
+            after = free - before  # free slots right of the pivot
+            if label <= after:
+                target = before + label
+            else:
+                target = label - after
+                before -= 1
+        r = 0
+        for step in steps:
+            nxt = r + step
+            count = tree[nxt]
+            if count < target:
+                r = nxt
+                target -= count
+            else:  # nxt covers the run sought
+                tree[nxt] = count - 1
+        pos = runs[r].pop(target - 1)
+        free -= 1
+        elt[pos] = element
+        if not last[pos] and not elt[pos + 1]:
+            cands.append(pos)
+    else:
+        return slots.to_permutation()
+    raise InvalidLabeling(f"not a valid {DELTA} labeling: {format_labeled_path(lp)}")
 
 
 def convert_label_scheme(lp: LabeledDyckPath) -> LabeledDyckPath:

@@ -151,6 +151,8 @@ class BivariatePoly:
         return hash(frozenset(self._c.items()))
 
     def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
+        if not isinstance(other, BivariatePoly):
+            return NotImplemented
         out = dict(self._c)
         for k, v in other._c.items():
             out[k] = out.get(k, 0) + v
@@ -160,10 +162,14 @@ class BivariatePoly:
         return BivariatePoly({k: -v for k, v in self._c.items()})
 
     def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
+        if not isinstance(other, BivariatePoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "BivariatePoly":
-        if isinstance(other, int):
+        if not isinstance(other, BivariatePoly):
+            if type(other) is not int:  # bool is refused, as by the constructor
+                return NotImplemented
             return BivariatePoly({k: v * other for k, v in self._c.items()})
         out: dict[tuple[int, int], int] = {}
         for (p1, q1), v1 in self._c.items():

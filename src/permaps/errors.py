@@ -65,8 +65,9 @@ class InvalidLabeling(PermapsError):
 class PlacementOutOfRange(InvalidLabeling):
     """A label addresses a free slot that does not exist.
 
-    Unreachable from any word that passes validation; raised only on
-    corrupt input fed directly to the inverse bijection.
+    No function raises it: ``delta_inverse`` refuses a label above the
+    height in front of it, which equals the free-slot count, with
+    InvalidLabeling.  Kept as public API.
     """
 
 

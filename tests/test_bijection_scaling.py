@@ -92,6 +92,35 @@ def test_delta_matches_reference_on_pairings(m, rng):
         assert delta_inverse(w) == reference_delta_inverse(w) == p
 
 
+def run_edge_inputs(rng, n):
+    """A uniform shuffle, a pairing (with n fixed when n is odd) and that
+    pairing's fundamental transform, each of size n."""
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    q = random_pairing(rng, n - n % 2)
+    if n % 2:
+        q = Permutation(q.images + (n,))
+    return Permutation(tuple(images)), q, fundamental_transform(q)
+
+
+# delta keeps its free slots in runs of 1024 slots each: 1023 and 1024
+# end inside or at the end of the first run, 1025 and 2049 spill one slot
+# into a second or a third
+@pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+def test_delta_matches_reference_at_run_edges(n):
+    for p in run_edge_inputs(random.Random(n), n):
+        w = delta(p)
+        assert w == reference_delta(p)
+        assert delta_inverse(w) == p
+
+
+def test_delta_round_trip_over_ten_runs():
+    # ten runs, the last of five slots, under a tree padded to sixteen
+    n = 9 * 1024 + 5
+    for p in run_edge_inputs(random.Random(n), n):
+        assert delta_inverse(delta(p)) == p
+
+
 def root_fixing_relabel(rng, n):
     images = list(range(1, n))
     rng.shuffle(images)

@@ -186,8 +186,9 @@ def test_delta_inverse_guards():
         delta_inverse(parse_labeled_path("a b1"))
     with pytest.raises(InvalidLabeling):
         delta_inverse(LabeledDyckPath((), DELTA))
-    # the out-of-range error is defensive: validation caps every label by
-    # the free-slot count, so catching InvalidLabeling also covers it
+    # nothing raises the out-of-range error: the walk caps every label by
+    # the height in front, which is the free-slot count; the public class
+    # stays under InvalidLabeling
     assert issubclass(PlacementOutOfRange, InvalidLabeling)
 
 
@@ -362,3 +363,12 @@ def test_labelings_match_reference(n, scheme, rng):
     )
     if scheme == DELTA:
         assert outcome(delta_inverse, lp) == outcome(reference_delta_inverse, lp)
+
+
+def test_delta_inverse_outcomes_match_reference_exhaustive():
+    # delta_inverse walks the word in its own loop; every word of up to six
+    # tokens over a, b0, b1, b2 and the zero-padded b01 pins its rules
+    for length in range(7):
+        for word in itertools.product(("a", "b0", "b1", "b2", "b01"), repeat=length):
+            lp = LabeledDyckPath(word, DELTA)
+            assert outcome(delta_inverse, lp) == outcome(reference_delta_inverse, lp)

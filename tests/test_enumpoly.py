@@ -52,6 +52,11 @@ def test_poly_arithmetic():
                 {(True, 0): 1}, {(1, 0): True}, [((0, 0.0), 1)]):
         with pytest.raises(ValueError):
             BivariatePoly(bad)
+    # arithmetic takes polynomials and, for *, int scalars only
+    for bad in (lambda: x + 1, lambda: 1 + x, lambda: x - 1, lambda: x * 2.5,
+                lambda: 2.5 * x, lambda: x * True, lambda: True * x, lambda: x * "2"):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_poly_substitution_and_swap():
