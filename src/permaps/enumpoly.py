@@ -328,15 +328,21 @@ class SeriesInZ:
         return hash((self.order, self._coeffs))
 
     def __add__(self, other: "SeriesInZ") -> "SeriesInZ":
+        if not isinstance(other, SeriesInZ):
+            return NotImplemented
         self._check(other)
         return SeriesInZ(
             [a + b for a, b in zip(self._coeffs, other._coeffs)], self.order
         )
 
     def __sub__(self, other: "SeriesInZ") -> "SeriesInZ":
+        if not isinstance(other, SeriesInZ):
+            return NotImplemented
         return self + other.map_coeffs(BivariatePoly.__neg__)
 
     def __mul__(self, other: "SeriesInZ") -> "SeriesInZ":
+        if not isinstance(other, SeriesInZ):
+            return NotImplemented
         self._check(other)
         out = [BivariatePoly.zero() for _ in range(self.order + 1)]
         for i, a in enumerate(self._coeffs):

@@ -27,19 +27,24 @@ syntactic characterization.
 
 ``phi_bijection`` composes psi with its inverse on the swapped pair,
 block by block: an involution of S_n exchanging the number of cycles
-with the number of left-to-right maxima.
+with the number of left-to-right maxima, in closed form: one canonical
+scan per block.
 
-``Hypermap(...)`` checks transitivity, ``psi``'s result included.  The
-private ``_hypermap`` skips that check on three trusted paths: the
-output of ``canonical_rooted_form``, whose scan raises ``NotTransitive``
-unless it reaches every dart, ``phi_bijection``'s swap of ``psi``'s
-pair, which joins the same darts, and ``maps.psi_prime``'s map, built
-as the ``RootedMap`` subclass from a checked indecomposable pairing.
+``Hypermap(...)`` checks transitivity.  The private ``_hypermap`` skips
+that check on three trusted paths: the output of
+``canonical_rooted_form``, whose scan raises ``NotTransitive`` unless it
+reaches every dart, ``psi``'s pair, split from a checked indecomposable
+permutation, and ``maps.psi_prime``'s map, built as the ``RootedMap``
+subclass from a checked indecomposable pairing.  ``phi_bijection``
+builds no swapped pair at all; its scan's ``NotTransitive`` stands in
+for the check of ``Hypermap(...)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 from .errors import (
     Decomposable,
@@ -52,13 +57,9 @@ from .errors import (
 from .perm import (
     Permutation,
     _perm,
-    blocks,
-    concat_blocks,
     cycles,
     format_cycles,
     from_cycles,
-    is_indecomposable,
-    lr_maxima,
     parse_permutation,
 )
 
@@ -121,17 +122,17 @@ def is_transitive(pair: PermPair) -> bool:
 
     Inverses are powers in a finite group, so forward steps from dart n
     reach its whole orbit."""
-    sigma, alpha = pair.sigma.images, pair.alpha.images
-    n = len(sigma)
+    sigma, alpha = (0, *pair.sigma.images), (0, *pair.alpha.images)  # 1-based
+    n = len(sigma) - 1
     seen = bytearray(n + 1)
     seen[n] = 1
     reached = [n]
     for e in reached:
-        f = sigma[e - 1]
+        f = sigma[e]
         if not seen[f]:
             seen[f] = 1
             reached.append(f)
-        f = alpha[e - 1]
+        f = alpha[e]
         if not seen[f]:
             seen[f] = 1
             reached.append(f)
@@ -144,45 +145,49 @@ def psi(theta: Permutation) -> Hypermap:
     sigma closes each interval between consecutive left-to-right maxima
     of theta into a cycle (the last interval runs to n after the value
     n+1 is removed); alpha is theta with n+1 deleted from its cycles.
+    An indecomposable theta gives a transitive pair, so the result skips
+    the check of ``Hypermap(...)``.
     """
     if theta.n < 2:
         raise SizeTooSmall("need size at least 2 to split off the top value")
-    if not is_indecomposable(theta):
-        raise Decomposable(f"{theta!r} is decomposable")
     n = theta.n - 1
     top_image = theta.images[n]
+    starts = _split_maxima(theta)
     alpha_images = tuple([v if v <= n else top_image for v in theta.images[:n]])
-    return Hypermap(_interval_cycles(lr_maxima(theta), n), _perm(alpha_images))
+    return _hypermap(_interval_cycles(starts, n), _perm(alpha_images))
 
 
-def _interval_cycles(starts: tuple[int, ...], n: int) -> Permutation:
+def _split_maxima(theta: Permutation) -> list[int]:
+    """The left-to-right maxima of theta (size >= 2), all before its
+    last position, in the running-maximum scan that checks that theta
+    is indecomposable."""
+    starts = []
+    top = 0
+    for i, v in enumerate(theta.images[:-1], 1):
+        if v > top:
+            top = v
+            starts.append(i)
+        if top == i:
+            raise Decomposable(f"{theta!r} is decomposable")
+    return starts
+
+
+def _interval_cycles(starts: Sequence[int], n: int) -> Permutation:
     """The permutation of 1..n whose cycles are the intervals that begin
     at ``starts`` (increasing, starting at 1), each traversed increasingly."""
-    images = [0] * (n + 1)
-    bounds = list(starts) + [n + 1]
-    for a, end in zip(bounds, bounds[1:]):
-        for i in range(a, end - 1):
-            images[i] = i + 1
-        images[end - 1] = a
-    return _perm(tuple(images[1:]))
+    images = list(range(2, n + 2))
+    for a, end in zip(starts, (*starts[1:], n + 1)):
+        images[end - 2] = a
+    return _perm(tuple(images))
 
 
 def _interval_endpoints(sigma: Permutation) -> tuple[int, ...] | None:
     """Left endpoints when every cycle of sigma is an interval of
-    consecutive integers traversed increasingly; None otherwise."""
+    consecutive integers traversed increasingly; None otherwise.  The
+    candidates follow the darts that skip their successor."""
     images = sigma.images
-    n = len(images)
-    endpoints = []
-    start = 1
-    while start <= n:
-        endpoints.append(start)
-        j = start
-        while j < n and images[j - 1] == j + 1:
-            j += 1
-        if images[j - 1] != start:
-            return None
-        start = j + 1
-    return tuple(endpoints)
+    starts = (1, *[e + 1 for e, v in enumerate(images[:-1], 1) if v != e + 1])
+    return starts if _interval_cycles(starts, len(images)).images == images else None
 
 
 def satisfies_lemma1(pair: PermPair) -> bool:
@@ -212,44 +217,45 @@ def canonical_rooted_form(h: PermPair) -> tuple[Hypermap, Permutation]:
 
     Returns (canonical hypermap, phi) where phi fixes the root dart n
     and conjugating h through phi gives the canonical form.  The
-    labeling is read off a deterministic scan: write the root's vertex
-    cycle with n last, then repeatedly take the rightmost not yet
-    examined dart e of the written word and, if alpha^{-1}(e) lies on an
-    unwritten vertex, prepend that vertex's cycle starting at
-    alpha^{-1}(e).  phi is the word itself: phi(k) = k-th dart written.
-
-    The word is built reversed, so prepending is appending, and the
-    examined darts are always a prefix of the reversed word, so one
-    index replaces the search for the rightmost unexamined dart.  Each
-    vertex is written whole, back along sigma from its entry dart, and
-    each dart's place in the word, phi^{-1}, is noted as it is written;
-    that marks it written and relabels sigma and alpha: linear in n.
+    labeling is read off a deterministic scan (``_scan``): write the
+    root's vertex cycle with n last, then repeatedly take the rightmost
+    not yet examined dart e of the written word and, if alpha^{-1}(e)
+    lies on an unwritten vertex, prepend that vertex's cycle starting
+    at alpha^{-1}(e).  phi is the word itself: phi(k) = k-th dart written.
     """
     sigma, alpha = h.sigma.images, h.alpha.images
     n = len(sigma)
     sigma_inv, alpha_inv = [0] * (n + 1), [0] * (n + 1)
     for e in range(n):
         sigma_inv[sigma[e]] = alpha_inv[alpha[e]] = e + 1
-    place = [0] * (n + 1)  # phi^{-1}: each written dart's place in the word
-    rev: list[int] = []  # the written word, last dart first
-
-    def write(v: int) -> None:  # v, then back along sigma to the entry dart
-        while not place[v]:
-            place[v] = n - len(rev)
-            rev.append(v)
-            v = sigma_inv[v]
-
-    write(n)
-    # the loop's own index walks the examined prefix while writes append
-    for e in rev:
-        u = alpha_inv[e]
-        if not place[u]:
-            write(sigma_inv[u])
-    if len(rev) < n:
-        raise NotTransitive("scan exhausted before covering every dart")
+    alpha_inv[0] = sigma[-1]  # sigma(n), where the scan enters the root vertex
+    rev, place = _scan(sigma_inv, alpha_inv)
     phi = tuple(reversed(rev))
     relabeled = [_perm(tuple([place[p[e - 1]] for e in phi])) for p in (sigma, alpha)]
     return _hypermap(*relabeled), _perm(phi)
+
+
+def _scan(sigma_inv: list[int], alpha_inv: list[int]) -> tuple[list[int], list[int]]:
+    """The canonical scan from 1-based inverses, ``alpha_inv[0]`` set to
+    sigma(n): the written word, last dart first, and phi^{-1}, each
+    dart's place.  Built reversed, prepending is appending, and the loop
+    walks the examined prefix while writes append; a sentinel dart 0,
+    examined first, enters the root vertex so that n is written first.
+    Each vertex is written whole, back along sigma from its entry."""
+    n = len(sigma_inv) - 1
+    place = [0] * (n + 1)
+    rev: list[int] = []
+    k = n  # the place of the next dart written
+    for e in chain((0,), rev):
+        v = sigma_inv[alpha_inv[e]]
+        while not place[v]:
+            place[v] = k
+            k -= 1
+            rev.append(v)
+            v = sigma_inv[v]
+    if k:
+        raise NotTransitive("scan exhausted before covering every dart")
+    return rev, place
 
 
 def _canonical_root(h: PermPair) -> tuple[Hypermap, int]:
@@ -291,16 +297,50 @@ def phi_bijection(p: Permutation) -> Permutation:
     component permutations are swapped, and psi_inverse reassembles;
     1-point blocks stay fixed.  Indecomposability is preserved, so the
     blockwise extension is well defined, and the map squares to the
-    identity because psi images are already canonically labeled.
+    identity because psi images are already canonically labeled.  In
+    closed form: one running-maximum scan finds the blocks and their
+    maxima, and each block costs one canonical scan (``_phi_block``).
     """
-    out = []
-    for b in blocks(p):
-        if b.n == 1:
-            out.append(b)
-        else:
-            h = psi(b)
-            out.append(psi_inverse(_hypermap(h.alpha, h.sigma)))
-    return concat_blocks(out)
+    images = p.images
+    out: list[int] = []
+    starts: list[int] = []  # the open block's maxima, counted from its start
+    top = start = 0
+    for i, v in enumerate(images, 1):
+        if v > top:
+            top = v
+            starts.append(i - start)
+        if top == i:  # a block ends: its positions and values are start+1..i
+            block = images[start:i]
+            if i - start > 1:
+                swapped = _phi_block([w - start for w in block] if start else block, starts)
+                block = [w + start for w in swapped] if start else swapped
+            out += block
+            start, starts = i, []
+    return _perm(tuple(out))
+
+
+def _phi_block(theta: Sequence[int], starts: list[int]) -> tuple[int, ...]:
+    """The image under phi of an indecomposable block theta of size
+    m = n+1 >= 2 with maxima ``starts``, from one scan of the swapped
+    pair: psi's alpha (theta with m deleted) as vertices, the maxima
+    intervals as edges.  The root vertex, written first, starts at the
+    place of alpha(n), which is psi_inverse's i_k.  The scan's
+    ``NotTransitive`` stands in for the check of ``Hypermap(...)``."""
+    m = len(theta)
+    n = m - 1
+    vertex_inv = [0] * (m + 1)
+    for e, v in enumerate(theta, 1):
+        vertex_inv[v] = e
+    vertex_inv[theta[n]] = vertex_inv.pop()  # alpha^{-1} skips m
+    edges = _interval_cycles(starts, n).images
+    edge_inv = list(range(-1, n))  # each dart back to the one before,
+    for first, end in zip(starts, (*starts[1:], m)):
+        edge_inv[first] = end - 1  # but an interval's first to its last
+    edge_inv[0] = theta[n - 1] if theta[n - 1] < m else theta[n]  # alpha(n)
+    rev, place = _scan(vertex_inv, edge_inv)
+    a = [place[edges[e - 1]] for e in reversed(rev)]  # the canonical edges
+    ik = place[edge_inv[0]]
+    return (*a[: ik - 1], m, *a[ik:], a[ik - 1])
 
 
 def hypermap_to_text(h: PermPair) -> str:

@@ -21,15 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .enumpoly import M_family, i_count
-from .errors import Decomposable, NotFpf, SizeTooSmall
+from .errors import NotFpf, SizeTooSmall
 from .hypermap import (
     Hypermap,
     _canonical_root,
     _hypermap,
     _interval_cycles,
+    _split_maxima,
     hypermap_to_json_dict,
 )
-from .perm import Permutation, _perm, is_indecomposable, lr_maxima
+from .perm import Permutation, _perm
 
 __all__ = [
     "RootedMap",
@@ -47,7 +48,10 @@ def is_fpf_involution(p: Permutation) -> bool:
     images = p.images
     if len(images) % 2:
         return False
-    return all(v != i and images[v - 1] == i for i, v in enumerate(images, 1))
+    for i, v in enumerate(images, 1):
+        if v == i or images[v - 1] != i:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -70,14 +74,13 @@ def psi_prime(theta: Permutation) -> RootedMap:
         raise NotFpf(f"{theta!r} is not a fixed-point-free involution")
     if theta.n < 4:
         raise SizeTooSmall("the smallest usable pairing has size 4")
-    if not is_indecomposable(theta):
-        raise Decomposable(f"{theta!r} is decomposable")
+    starts = _split_maxima(theta)
     # theta pairs j with 2m+2, whose position is the last maximum: the
     # root vertex is j..2m, and dropping the pair closes up values above j;
     # the input checks already make the result a transitive pairing
     j = theta.images[-1]
     alpha = [v - (v > j) for i, v in enumerate(theta.images[:-1], 1) if i != j]
-    sigma = _interval_cycles(lr_maxima(theta), theta.n - 2)
+    sigma = _interval_cycles(starts, theta.n - 2)
     return _hypermap(sigma, _perm(tuple(alpha)), RootedMap)
 
 

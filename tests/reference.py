@@ -18,8 +18,13 @@ written, recursive generators with one frame per step or pair, which
 pin the order of the library's one-loop forms.  ``reference_psi_prime``
 and its inverse go through the full hypermap bijection on 2m+1 darts,
 deleting and reinserting the dart j = theta(2m+2), where the library
-uses the closed form.  They live with the tests rather than in the
-package so that ``import permaps`` does not load code only tests run.
+uses the closed form.  ``reference_phi`` is the involution as first
+written, block by block through ``psi``, a checked swapped hypermap and
+``psi_inverse``, where the library runs one scan per block; and
+``reference_fundamental_transform_inverse`` cuts the one-line form at
+its maxima and rebuilds it through the checked ``from_cycles``.  They
+live with the tests rather than in the package so that ``import
+permaps`` does not load code only tests run.
 
 The random generators at the end build permutations with a chosen
 block structure, so tests at large n reach both indecomposable and
@@ -56,10 +61,14 @@ from permaps.maps import RootedMap
 from permaps.perm import (
     CycleForm,
     Permutation,
+    blocks,
+    concat_blocks,
     conjugate,
     cycles,
+    from_cycles,
     inverse,
     is_indecomposable,
+    lr_maxima,
     rl_minima,
 )
 
@@ -406,6 +415,28 @@ def reference_psi_prime_inverse(m: Hypermap) -> Permutation:
     alpha_images[j] = j
     sigma = _interval_cycles(endpoints, can.n + 1)
     return psi_inverse(Hypermap(sigma, Permutation(tuple(alpha_images[1:]))))
+
+
+def reference_phi(p: Permutation) -> Permutation:
+    """``hypermap.phi_bijection`` as the composite: split each block of
+    size >= 2 by ``psi``, swap the pair into a checked ``Hypermap`` and
+    reassemble with ``psi_inverse``; 1-point blocks stay fixed."""
+    out = []
+    for b in blocks(p):
+        if b.n == 1:
+            out.append(b)
+        else:
+            h = psi(b)
+            out.append(psi_inverse(Hypermap(h.alpha, h.sigma)))
+    return concat_blocks(out)
+
+
+def reference_fundamental_transform_inverse(p: Permutation) -> Permutation:
+    """``perm.fundamental_transform_inverse`` through ``from_cycles``: the
+    segments that start at the left-to-right maxima are the cycles."""
+    maxima = list(lr_maxima(p)) + [p.n + 1]
+    segs = [p.images[maxima[j] - 1 : maxima[j + 1] - 1] for j in range(len(maxima) - 1)]
+    return from_cycles(segs, n=p.n)
 
 
 def reference_enum_dyck_paths(n: int) -> Iterator[str]:

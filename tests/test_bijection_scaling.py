@@ -46,7 +46,9 @@ from reference import (
     reference_cycles,
     reference_delta,
     reference_delta_inverse,
+    reference_fundamental_transform_inverse,
     reference_is_transitive,
+    reference_phi,
     reference_psi_prime,
     reference_psi_prime_inverse,
     reference_satisfies_lemma1,
@@ -266,6 +268,7 @@ def test_is_transitive_matches_reference(n, rng):
 def test_psi_round_trip_and_statistics(n, rng):
     theta = random_indecomposable(rng, n)
     h = psi(theta)
+    assert is_transitive(h)  # psi skips Hypermap's check
     assert psi_inverse(h) == theta
     assert _cycle_count(h.alpha.images) == _cycle_count(theta.images)  # cycles to hyper-edges
     assert _cycle_count(h.sigma.images) == len(lr_maxima(theta))  # maxima to vertices
@@ -288,6 +291,24 @@ def test_phi_bijection_involution_swaps_statistics(n, rng):
     assert phi_bijection(q) == p
     assert _cycle_count(p.images) == len(lr_maxima(q))
     assert _cycle_count(q.images) == len(lr_maxima(p))
+
+
+def test_phi_and_transform_inverse_match_reference_exhaustive():
+    for n in range(1, 8):
+        for images in itertools.permutations(range(1, n + 1)):
+            p = Permutation(images)
+            assert phi_bijection(p) == reference_phi(p)
+            assert fundamental_transform_inverse(p) == reference_fundamental_transform_inverse(p)
+
+
+# the shuffle, the pairing and its transform are the benchmark's three
+# shapes; the concatenated random blocks move the block offsets
+@bounded
+@given(st.integers(2, 5000), seeds)
+def test_phi_and_transform_inverse_match_reference(n, rng):
+    for p in (*run_edge_inputs(rng, n), random_blocks(rng, random_block_sizes(rng, n))):
+        assert phi_bijection(p) == reference_phi(p)
+        assert fundamental_transform_inverse(p) == reference_fundamental_transform_inverse(p)
 
 
 def test_satisfies_lemma1_matches_reference_exhaustive():

@@ -100,6 +100,10 @@ def test_series_arithmetic():
         SeriesInZ([one], 3).inverse_one_minus()
     with pytest.raises(ValueError):
         z + SeriesInZ([], 2)
+    # arithmetic takes series only: an int or a bool raises TypeError
+    for bad in (lambda: z + 1, lambda: z - 1, lambda: z * 2, lambda: z * True):
+        with pytest.raises(TypeError):
+            bad()
 
 
 # --- scalar sequences -----------------------------------------------------------

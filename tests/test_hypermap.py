@@ -174,6 +174,17 @@ def test_canonical_output_equals_a_checked_hypermap():
         assert phi == Permutation(phi.images) and hash(phi) == hash(Permutation(phi.images))
 
 
+def test_psi_output_equals_a_checked_hypermap():
+    # psi's pair skips the transitivity check; it must be
+    # indistinguishable from one built through Hypermap(...)
+    for size in range(2, 8):
+        for theta in indecomposables(size):
+            h = psi(theta)
+            checked = Hypermap(Permutation(h.sigma.images), Permutation(h.alpha.images))
+            assert type(h) is Hypermap and type(h.sigma) is Permutation
+            assert h == checked and hash(h) == hash(checked)
+
+
 def test_canonical_idempotent_and_lemma1():
     for size in range(2, 7):
         for theta in indecomposables(size):

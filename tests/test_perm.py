@@ -44,6 +44,11 @@ def test_constructor_rejects_non_bijections():
         Permutation((2, 3))
     with pytest.raises(NotABijection):
         Permutation((0, 1))
+    # n plain ints each, so only the cover of 1..n rejects them: a repeat,
+    # a value above n, a value below 1
+    for images in ((1, 3, 3), (1, 2, 4), (0, 2, 3)):
+        with pytest.raises(NotABijection):
+            Permutation(images)
 
 
 @pytest.mark.parametrize(
@@ -188,6 +193,7 @@ def test_from_cycles_validation():
         from_cycles([])
     with pytest.raises(NotABijection):
         from_cycles([(1, 2)], n=3)
+    # the set of elements covers 1..3, so only the count rejects the repeat
     with pytest.raises(NotABijection):
         from_cycles([(1, 2), (2, 3)])
 
