@@ -232,7 +232,17 @@ class BivariatePoly:
 
     @classmethod
     def from_json_obj(cls, obj: Sequence[dict]) -> "BivariatePoly":
-        return cls({(int(t["x"]), int(t["y"])): int(t["c"]) for t in obj})
+        """Inverse of ``to_json_obj``: int exponents, each (x, y) once, and
+        ``c`` an int or the decimal string written there; else ValueError."""
+        try:
+            items = [((t["x"], t["y"]), t["c"]) for t in obj]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed term: {exc!r}") from exc
+        items = [(k, int(c) if type(c) is str and c == str(int(c)) else c) for k, c in items]
+        poly = cls(items)  # checks the types first, so every key below is a pair of ints
+        if len({k for k, _ in items}) < len(items):
+            raise ValueError("a monomial appears twice")
+        return poly
 
 
 def _poly(coeffs: dict[tuple[int, int], int]) -> BivariatePoly:

@@ -11,10 +11,11 @@ hypermap on n darts: cut {1..n+1} into intervals at the left-to-right
 maxima of theta and close each interval into a cycle of sigma, then
 delete the value n+1 from theta's cycles to obtain alpha.  It is a
 bijection onto rooted hypermaps (one canonical representative per
-rooted-isomorphism class); ``psi_inverse`` canonicalizes and reads the
-permutation back.  The number of cycles of alpha equals the number of
-cycles of theta, and the number of cycles of sigma equals the number of
-left-to-right maxima of theta.
+rooted-isomorphism class); ``psi_inverse`` reads the permutation back
+off one canonical scan, which relabels alpha alone and finds the root
+vertex's left endpoint as the place of sigma(n).  The number of cycles
+of alpha equals the number of cycles of theta, and the number of cycles
+of sigma equals the number of left-to-right maxima of theta.
 
 ``canonical_rooted_form`` computes the distinguished labeling of an
 isomorphism class directly, so isomorphism testing is an equality
@@ -48,7 +49,6 @@ from typing import Sequence
 
 from .errors import (
     Decomposable,
-    InternalMismatch,
     NotTransitive,
     ParseError,
     SizeMismatch,
@@ -181,15 +181,6 @@ def _interval_cycles(starts: Sequence[int], n: int) -> Permutation:
     return _perm(tuple(images))
 
 
-def _interval_endpoints(sigma: Permutation) -> tuple[int, ...] | None:
-    """Left endpoints when every cycle of sigma is an interval of
-    consecutive integers traversed increasingly; None otherwise.  The
-    candidates follow the darts that skip their successor."""
-    images = sigma.images
-    starts = (1, *[e + 1 for e, v in enumerate(images[:-1], 1) if v != e + 1])
-    return starts if _interval_cycles(starts, len(images)).images == images else None
-
-
 def satisfies_lemma1(pair: PermPair) -> bool:
     """Syntactic test for the canonical labeling.
 
@@ -200,8 +191,9 @@ def satisfies_lemma1(pair: PermPair) -> bool:
     A value v is such a minimum exactly when alpha(v) exceeds alpha(u)
     for every u < v, so (ii) is one scan of alpha up to that endpoint.
     """
-    endpoints = _interval_endpoints(pair.sigma)
-    if endpoints is None:
+    sigma = pair.sigma.images  # intervals start at 1 and after each dart that skips its successor
+    endpoints = (1, *[e + 1 for e, v in enumerate(sigma[:-1], 1) if v != e + 1])
+    if _interval_cycles(endpoints, len(sigma)).images != sigma:
         return False
     maxima = []  # the darts below i_k at which alpha reaches a new maximum
     top = 0
@@ -224,15 +216,21 @@ def canonical_rooted_form(h: PermPair) -> tuple[Hypermap, Permutation]:
     at alpha^{-1}(e).  phi is the word itself: phi(k) = k-th dart written.
     """
     sigma, alpha = h.sigma.images, h.alpha.images
-    n = len(sigma)
-    sigma_inv, alpha_inv = [0] * (n + 1), [0] * (n + 1)
-    for e in range(n):
-        sigma_inv[sigma[e]] = alpha_inv[alpha[e]] = e + 1
-    alpha_inv[0] = sigma[-1]  # sigma(n), where the scan enters the root vertex
-    rev, place = _scan(sigma_inv, alpha_inv)
+    rev, place = _scan(*_inverses(h))
     phi = tuple(reversed(rev))
     relabeled = [_perm(tuple([place[p[e - 1]] for e in phi])) for p in (sigma, alpha)]
     return _hypermap(*relabeled), _perm(phi)
+
+
+def _inverses(h: PermPair) -> tuple[list[int], list[int]]:
+    """``_scan``'s arguments for h: its 1-based inverses, with
+    ``alpha_inv[0]`` set to sigma(n), where the scan enters the root vertex."""
+    sigma, alpha = h.sigma.images, h.alpha.images
+    sigma_inv, alpha_inv = [0] * (len(sigma) + 1), [0] * (len(sigma) + 1)
+    for e in range(len(sigma)):
+        sigma_inv[sigma[e]] = alpha_inv[alpha[e]] = e + 1
+    alpha_inv[0] = sigma[-1]
+    return sigma_inv, alpha_inv
 
 
 def _scan(sigma_inv: list[int], alpha_inv: list[int]) -> tuple[list[int], list[int]]:
@@ -258,36 +256,36 @@ def _scan(sigma_inv: list[int], alpha_inv: list[int]) -> tuple[list[int], list[i
     return rev, place
 
 
-def _canonical_root(h: PermPair) -> tuple[Hypermap, int]:
-    """The canonical form of h and the left endpoint of its root vertex."""
-    can, _ = canonical_rooted_form(h)
-    endpoints = _interval_endpoints(can.sigma)
-    if endpoints is None:
-        raise InternalMismatch("canonical form has a vertex that is not an interval")
-    return can, endpoints[-1]
+def _canonical_alpha(sigma_inv: list[int], alpha_inv: list[int], alpha: Sequence[int]):
+    """The canonical alpha's one-line form and the left endpoint i_k of
+    the root vertex, from one ``_scan``.  That vertex is written first,
+    back along sigma from n, so it starts at the place of sigma(n)."""
+    rev, place = _scan(sigma_inv, alpha_inv)
+    return [place[alpha[e - 1]] for e in reversed(rev)], place[alpha_inv[0]]
+
+
+def _theta(sigma_inv: list[int], alpha_inv: list[int], alpha: Sequence[int]) -> tuple[int, ...]:
+    """psi_inverse's one-line form: n+1 put in at position i_k of the
+    canonical alpha, and the value it displaces moved to the end."""
+    a, ik = _canonical_alpha(sigma_inv, alpha_inv, alpha)
+    return (*a[: ik - 1], len(a) + 1, *a[ik:], a[ik - 1])
 
 
 def psi_inverse(h: PermPair) -> Permutation:
     """Rebuild the indecomposable permutation of S_{n+1} from a hypermap.
 
-    Canonicalizes first, then reinserts the value n+1 at the root
-    interval's left endpoint i_k of alpha's one-line form, moving the
-    displaced value to the end.
+    One canonical scan relabels alpha alone and finds the root
+    interval's left endpoint i_k; the value n+1 goes in at i_k of
+    alpha's one-line form, and the displaced value moves to the end.
     """
-    can, ik = _canonical_root(h)
-    a = can.alpha.images
-    n = can.n
-    theta = a[: ik - 1] + (n + 1,) + a[ik:] + (a[ik - 1],)
-    return _perm(theta)
+    return _perm(_theta(*_inverses(h), h.alpha.images))
 
 
 def rooted_isomorphic(h1: PermPair, h2: PermPair) -> bool:
     """Whether some root-fixing relabeling carries h1 onto h2."""
     if h1.n != h2.n:
         raise SizeMismatch(f"cannot compare sizes {h1.n} and {h2.n}")
-    c1, _ = canonical_rooted_form(h1)
-    c2, _ = canonical_rooted_form(h2)
-    return c1.sigma == c2.sigma and c1.alpha == c2.alpha
+    return canonical_rooted_form(h1)[0] == canonical_rooted_form(h2)[0]
 
 
 def phi_bijection(p: Permutation) -> Permutation:
@@ -323,8 +321,8 @@ def _phi_block(theta: Sequence[int], starts: list[int]) -> tuple[int, ...]:
     """The image under phi of an indecomposable block theta of size
     m = n+1 >= 2 with maxima ``starts``, from one scan of the swapped
     pair: psi's alpha (theta with m deleted) as vertices, the maxima
-    intervals as edges.  The root vertex, written first, starts at the
-    place of alpha(n), which is psi_inverse's i_k.  The scan's
+    intervals as edges, read back as ``psi_inverse`` reads its pair
+    (``_theta``), from inverses built here directly.  The scan's
     ``NotTransitive`` stands in for the check of ``Hypermap(...)``."""
     m = len(theta)
     n = m - 1
@@ -332,15 +330,11 @@ def _phi_block(theta: Sequence[int], starts: list[int]) -> tuple[int, ...]:
     for e, v in enumerate(theta, 1):
         vertex_inv[v] = e
     vertex_inv[theta[n]] = vertex_inv.pop()  # alpha^{-1} skips m
-    edges = _interval_cycles(starts, n).images
     edge_inv = list(range(-1, n))  # each dart back to the one before,
     for first, end in zip(starts, (*starts[1:], m)):
         edge_inv[first] = end - 1  # but an interval's first to its last
     edge_inv[0] = theta[n - 1] if theta[n - 1] < m else theta[n]  # alpha(n)
-    rev, place = _scan(vertex_inv, edge_inv)
-    a = [place[edges[e - 1]] for e in reversed(rev)]  # the canonical edges
-    ik = place[edge_inv[0]]
-    return (*a[: ik - 1], m, *a[ik:], a[ik - 1])
+    return _theta(vertex_inv, edge_inv, _interval_cycles(starts, n).images)
 
 
 def hypermap_to_text(h: PermPair) -> str:
@@ -373,7 +367,9 @@ def hypermap_to_json_dict(h: PermPair) -> dict:
 def hypermap_from_json_dict(d: dict) -> Hypermap:
     """Inverse of hypermap_to_json_dict."""
     try:
-        n = int(d["n"])
+        n = d["n"]
+        if type(n) is not int:
+            raise TypeError(f"n must be an int, got {n!r}")
         sigma = from_cycles([tuple(c) for c in d["sigma"]], n=n)
         alpha = from_cycles([tuple(c) for c in d["alpha"]], n=n)
     except (KeyError, TypeError, ValueError) as exc:

@@ -9,11 +9,11 @@ specialized to pairings in closed form.  The last left-to-right maximum
 of theta is j = theta(2m+2); the vertices are the intervals between
 consecutive maxima of theta on 1..2m, and the edges are theta with the
 pair {j, 2m+2} removed and the values above j closed up.
-``psi_prime_inverse`` canonicalizes the map, takes j as the left
-endpoint of the root vertex, and puts the pair back.  The number of
-vertices of the image equals the number of left-to-right maxima of
-theta, so the vertex distribution over all rooted maps with m edges is
-the polynomial M'_{m+1}.
+``psi_prime_inverse`` reads the canonical edges and j, the left
+endpoint of the root vertex, off one canonical scan of the map, and
+puts the pair back.  The number of vertices of the image equals the
+number of left-to-right maxima of theta, so the vertex distribution
+over all rooted maps with m edges is the polynomial M'_{m+1}.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from .enumpoly import M_family, i_count
 from .errors import NotFpf, SizeTooSmall
 from .hypermap import (
     Hypermap,
-    _canonical_root,
+    _canonical_alpha,
     _hypermap,
     _interval_cycles,
+    _inverses,
     _split_maxima,
     hypermap_to_json_dict,
 )
@@ -87,14 +88,16 @@ def psi_prime(theta: Permutation) -> RootedMap:
 def psi_prime_inverse(m: Hypermap) -> Permutation:
     """Rebuild the indecomposable pairing of S_{2m+2} from a rooted map.
 
-    Canonicalize and take j as the root vertex's left endpoint; shift
-    the edge values at or above j up by one, put 2m+2 at position j,
-    and append j, which pairs j with 2m+2.
+    One canonical scan relabels the edges and gives j, the root vertex's
+    left endpoint; shift the edge values at or above j up by one, put
+    2m+2 at position j, and append j, which pairs j with 2m+2.  A
+    ``RootedMap`` pairs its darts by construction; any other pair is
+    checked first.
     """
-    if not is_fpf_involution(m.alpha):
+    if not isinstance(m, RootedMap) and not is_fpf_involution(m.alpha):
         raise NotFpf("alpha must be a fixed-point-free involution")
-    can, j = _canonical_root(m)
-    theta = [v + (v >= j) for v in can.alpha.images]
+    a, j = _canonical_alpha(*_inverses(m), m.alpha.images)
+    theta = [v + (v >= j) for v in a]
     theta.insert(j - 1, m.n + 2)
     theta.append(j)
     return _perm(tuple(theta))

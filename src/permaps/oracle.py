@@ -199,12 +199,8 @@ def hypermap_census(n: int, limit: int = 5) -> tuple[int, int]:
         raise LimitExceeded(f"n = {n} exceeds the limit {limit}")
     if n < 1:
         raise ValueError("need n >= 1")
-    labeled = 0
-    forms: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for _, can, _ in _census(n, canonical_rooted_form):
-        labeled += 1
-        forms.add((can.sigma.images, can.alpha.images))
-    return labeled, len(forms)
+    forms = [(c.sigma.images, c.alpha.images) for _, c, _ in _census(n, canonical_rooted_form)]
+    return len(forms), len(set(forms))
 
 
 # --- verification suite ------------------------------------------------------
@@ -235,16 +231,10 @@ class VerifyReport:
         return [r.to_json_obj() for r in self.results]
 
     def to_text(self) -> str:
-        lines = []
-        for r in self.results:
-            if r.status == "pass":
-                lines.append(f"PASS {r.check}")
-            else:
-                lines.append(f"FAIL {r.check} witness={r.witness}")
+        lines = [f"PASS {r.check}" if r.status == "pass" else f"FAIL {r.check} witness={r.witness}"
+                 for r in self.results]
         tally = sum(1 for r in self.results if r.status != "pass")
-        lines.append(
-            "all checks passed" if tally == 0 else f"{tally} check(s) failed"
-        )
+        lines.append("all checks passed" if tally == 0 else f"{tally} check(s) failed")
         return "\n".join(lines)
 
 

@@ -15,12 +15,15 @@ written, through the inverse of alpha, its right-to-left minima and two
 sets.  ``reference_enum_dyck_paths`` and
 ``reference_enum_fpf_involutions`` are the enumerators as first
 written, recursive generators with one frame per step or pair, which
-pin the order of the library's one-loop forms.  ``reference_psi_prime``
-and its inverse go through the full hypermap bijection on 2m+1 darts,
-deleting and reinserting the dart j = theta(2m+2), where the library
-uses the closed form.  ``reference_phi`` is the involution as first
-written, block by block through ``psi``, a checked swapped hypermap and
-``psi_inverse``, where the library runs one scan per block; and
+pin the order of the library's one-loop forms.  ``reference_psi_inverse``
+builds the canonical hypermap and reads the root interval off its
+sigma's cycles, where the library reads both off one scan.
+``reference_psi_prime`` and its inverse go through the full hypermap
+bijection on 2m+1 darts, deleting and reinserting the dart
+j = theta(2m+2), where the library uses the closed form.
+``reference_phi`` is the involution as first written, block by block
+through ``psi``, a checked swapped hypermap and
+``reference_psi_inverse``, where the library runs one scan per block; and
 ``reference_fundamental_transform_inverse`` cuts the one-line form at
 its maxima and rebuilds it through the checked ``from_cycles``.  They
 live with the tests rather than in the package so that ``import
@@ -46,16 +49,15 @@ from permaps.errors import (
     InvalidLabeling,
     InvalidPath,
     NotTransitive,
+    PermapsError,
     PlacementOutOfRange,
 )
 from permaps.hypermap import (
     Hypermap,
     PermPair,
     _interval_cycles,
-    _interval_endpoints,
     canonical_rooted_form,
     psi,
-    psi_inverse,
 )
 from permaps.maps import RootedMap
 from permaps.perm import (
@@ -401,34 +403,66 @@ def reference_psi_prime(theta: Permutation) -> RootedMap:
     return RootedMap(Permutation(tuple(sigma_images)), Permutation(tuple(alpha_images)))
 
 
+def _reference_interval_endpoints(sigma: Permutation) -> list[int]:
+    """The left endpoints of sigma's cycles, when every cycle read from
+    its minimum is a run of consecutive darts; ``InternalMismatch``
+    otherwise."""
+    endpoints = []
+    for c in cycles(sigma, canonical=False).cycles:  # sorted by minimum
+        if c != tuple(range(c[0], c[0] + len(c))):
+            raise InternalMismatch("canonical form has a vertex that is not an interval")
+        endpoints.append(c[0])
+    return endpoints
+
+
+def reference_psi_inverse(h: PermPair) -> Permutation:
+    """``hypermap.psi_inverse`` as the composite: build the canonical
+    hypermap, read the root interval's left endpoint i_k off its sigma,
+    then put n+1 in at i_k of its alpha and move the displaced value to
+    the end."""
+    can, _ = canonical_rooted_form(h)
+    ik = _reference_interval_endpoints(can.sigma)[-1]
+    a = can.alpha.images
+    return Permutation(a[: ik - 1] + (can.n + 1,) + a[ik:] + (a[ik - 1],))
+
+
 def reference_psi_prime_inverse(m: Hypermap) -> Permutation:
     """The pairing of a rooted map through the full hypermap bijection:
     canonicalize, shift darts at or above the root vertex's left
     endpoint j up by one, reinsert j as a fixed point of alpha and as
-    the new left end of the root vertex, and apply ``psi_inverse``."""
+    the new left end of the root vertex, and apply
+    ``reference_psi_inverse``."""
     can, _ = canonical_rooted_form(m)
-    endpoints = _interval_endpoints(can.sigma)
+    endpoints = _reference_interval_endpoints(can.sigma)
     j = endpoints[-1]
     alpha_images = [0] * (can.n + 2)
     for i, v in enumerate(can.alpha.images, 1):
         alpha_images[i + 1 if i >= j else i] = v + 1 if v >= j else v
     alpha_images[j] = j
     sigma = _interval_cycles(endpoints, can.n + 1)
-    return psi_inverse(Hypermap(sigma, Permutation(tuple(alpha_images[1:]))))
+    return reference_psi_inverse(Hypermap(sigma, Permutation(tuple(alpha_images[1:]))))
 
 
 def reference_phi(p: Permutation) -> Permutation:
     """``hypermap.phi_bijection`` as the composite: split each block of
     size >= 2 by ``psi``, swap the pair into a checked ``Hypermap`` and
-    reassemble with ``psi_inverse``; 1-point blocks stay fixed."""
+    reassemble with ``reference_psi_inverse``; 1-point blocks stay fixed."""
     out = []
     for b in blocks(p):
         if b.n == 1:
             out.append(b)
         else:
             h = psi(b)
-            out.append(psi_inverse(Hypermap(h.alpha, h.sigma)))
+            out.append(reference_psi_inverse(Hypermap(h.alpha, h.sigma)))
     return concat_blocks(out)
+
+
+def outcome(f, *args):
+    """f(*args), or the class and message of the library error it raises."""
+    try:
+        return f(*args)
+    except PermapsError as exc:
+        return type(exc), str(exc)
 
 
 def reference_fundamental_transform_inverse(p: Permutation) -> Permutation:

@@ -49,6 +49,7 @@ from reference import (
     reference_fundamental_transform_inverse,
     reference_is_transitive,
     reference_phi,
+    reference_psi_inverse,
     reference_psi_prime,
     reference_psi_prime_inverse,
     reference_satisfies_lemma1,
@@ -362,6 +363,22 @@ def test_psi_prime_round_trip_and_statistics(m, rng):
     assert _cycle_count(rooted.sigma.images) == len(lr_maxima(theta))  # vertices are maxima
     assert rooted == reference_psi_prime(theta)
     assert psi_prime_inverse(rooted) == reference_psi_prime_inverse(rooted) == theta
+    phi = root_fixing_relabel(rng, rooted.n)
+    moved = Hypermap(conjugate(rooted.sigma, phi), conjugate(rooted.alpha, phi))
+    assert psi_prime_inverse(moved) == reference_psi_prime_inverse(moved) == theta
+
+
+@bounded
+@given(st.integers(1, 2000), seeds)
+def test_inverses_match_reference_on_root_fixing_relabelings(n, rng):
+    # any labeling of a class reads back to the same permutation, as the
+    # composites through the canonical hypermap read it
+    h = random_hypermap(rng, n)
+    phi = root_fixing_relabel(rng, n)
+    moved = PermPair(conjugate(h.sigma, phi), conjugate(h.alpha, phi))
+    assert psi_inverse(moved) == reference_psi_inverse(moved) == reference_psi_inverse(h)
+    theta = random_pairing(rng, 2 * max(2, n // 2))
+    rooted = psi_prime(theta)
     phi = root_fixing_relabel(rng, rooted.n)
     moved = Hypermap(conjugate(rooted.sigma, phi), conjugate(rooted.alpha, phi))
     assert psi_prime_inverse(moved) == reference_psi_prime_inverse(moved) == theta

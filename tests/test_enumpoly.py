@@ -87,6 +87,25 @@ def test_poly_json_round_trip():
         {"x": 0, "y": 0, "c": "-4"},
     ]
     assert BivariatePoly.from_json_obj(obj) == p
+    assert BivariatePoly.from_json_obj([{"x": 1, "y": 0, "c": 2}]) == BivariatePoly({(1, 0): 2})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        # (x, y) twice: the writer never repeats a monomial, and neither
+        # the last term nor the sum of both may stand for it
+        [{"x": 1, "y": 0, "c": "1"}, {"x": 1, "y": 0, "c": "2"}],
+        [{"x": 1.5, "y": 0, "c": "1"}],  # not truncated to 1
+        [{"x": True, "y": 0, "c": "1"}],  # not read as 1
+        [{"x": 1, "y": 0, "c": 2.9}],  # not truncated to 2
+        [{"x": 1, "c": "1"}],  # not a KeyError
+        [{"x": 1, "y": 0, "c": " +2"}],  # not the decimal string written
+    ],
+)
+def test_poly_json_reader_takes_only_what_the_writer_writes(obj):
+    with pytest.raises(ValueError):
+        BivariatePoly.from_json_obj(obj)
 
 
 def test_series_arithmetic():

@@ -5,10 +5,8 @@ import itertools
 
 import pytest
 
-import permaps.hypermap
 from permaps.errors import (
     Decomposable,
-    InternalMismatch,
     NotTransitive,
     ParseError,
     SizeMismatch,
@@ -39,6 +37,7 @@ from permaps.perm import (
     lr_maxima,
     parse_permutation,
 )
+from reference import outcome, reference_psi_inverse
 
 
 def all_perms(n):
@@ -258,17 +257,14 @@ def test_psi_inverse_one_dart():
     assert psi_inverse(Hypermap(identity(1), identity(1))).images == (2, 1)
 
 
-def test_psi_inverse_rejects_a_non_canonical_form(monkeypatch):
-    # with canonicalization reduced to the identity relabeling, a vertex
-    # that is no interval must surface as a declared error, under -O too
-    monkeypatch.setattr(
-        permaps.hypermap,
-        "canonical_rooted_form",
-        lambda h: (Hypermap(h.sigma, h.alpha), identity(h.n)),
-    )
-    h = Hypermap(parse_permutation("(1,3)(2)", "cycle"), parse_permutation("(1,2)(3)", "cycle"))
-    with pytest.raises(InternalMismatch):
-        psi_inverse(h)
+def test_psi_inverse_matches_reference_on_every_small_pair():
+    # all 15,017 pairs of size <= 5, transitive or not: the same
+    # permutation, or the same declared error, as the composite through
+    # the canonical hypermap
+    pairs = [pair for n in range(1, 6) for pair in all_pairs(n)]
+    assert len(pairs) == 15_017
+    for pair in pairs:
+        assert outcome(psi_inverse, pair) == outcome(reference_psi_inverse, pair)
 
 
 def test_psi_round_trip_exhaustive():
@@ -366,3 +362,6 @@ def test_json_round_trip():
     assert hypermap_from_json_dict(d) == h
     with pytest.raises(ParseError):
         hypermap_from_json_dict({"n": 2, "sigma": [[1, 2]]})
+    # n is read as written: a float is not truncated to a size
+    with pytest.raises(ParseError):
+        hypermap_from_json_dict({"n": 2.9, "sigma": [[1, 2]], "alpha": [[1], [2]]})

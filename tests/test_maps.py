@@ -1,5 +1,6 @@
 """Rooted maps: the pairing bijection, counts, and vertex distributions."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -8,8 +9,17 @@ import permaps.hypermap
 import permaps.maps
 from permaps.dyck import delta
 from permaps.enumpoly import M_family
-from permaps.errors import Decomposable, InternalMismatch, NotFpf, NotTransitive, SizeTooSmall
-from permaps.hypermap import Hypermap, canonical_rooted_form, hypermap_to_text, rooted_isomorphic
+from permaps.errors import Decomposable, NotFpf, NotTransitive, SizeTooSmall
+from permaps.hypermap import (
+    Hypermap,
+    PermPair,
+    _scan,
+    canonical_rooted_form,
+    hypermap_to_text,
+    psi,
+    psi_inverse,
+    rooted_isomorphic,
+)
 from permaps.maps import (
     RootedMap,
     is_fpf_involution,
@@ -28,7 +38,7 @@ from permaps.perm import (
     lr_maxima,
     parse_permutation,
 )
-from reference import reference_psi_prime, reference_psi_prime_inverse
+from reference import outcome, reference_psi_prime, reference_psi_prime_inverse
 
 
 def fpf_involutions(n):
@@ -130,17 +140,35 @@ def test_psi_prime_inverse_accepts_any_labeling():
         psi_prime_inverse(Hypermap(parse_permutation("(1,2,3)", "cycle"), identity(3)))
 
 
-def test_psi_prime_inverse_declares_internal_faults(monkeypatch):
-    m = Hypermap(parse_permutation("(1,3)(2,4)", "cycle"), parse_permutation("(1,2)(3,4)", "cycle"))
-    with monkeypatch.context() as mp:
-        # a form whose vertices are not intervals
-        mp.setattr(
-            permaps.hypermap,
-            "canonical_rooted_form",
-            lambda h: (Hypermap(h.sigma, h.alpha), identity(h.n)),
-        )
-        with pytest.raises(InternalMismatch):
-            psi_prime_inverse(m)
+def test_psi_prime_inverse_matches_reference_on_every_small_pair():
+    # every (sigma, pairing) of size 2, 4 and 6, transitive or not: the
+    # same pairing, or the same declared error, as the composite through
+    # the canonical hypermap and the hypermap bijection on one dart more
+    for size in (2, 4, 6):
+        sigmas = [Permutation(im) for im in itertools.permutations(range(1, size + 1))]
+        for sigma, alpha in itertools.product(sigmas, fpf_involutions(size)):
+            pair = PermPair(sigma, alpha)
+            assert outcome(psi_prime_inverse, pair) == outcome(reference_psi_prime_inverse, pair)
+
+
+def test_psi_prime_inverse_checks_the_pairing_of_other_pairs_only(monkeypatch):
+    # a RootedMap is a pairing by construction; a Hypermap is checked once
+    theta = Permutation((4, 6, 5, 1, 3, 2))
+    m = psi_prime(theta)
+    built = RootedMap(m.sigma, m.alpha)
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return is_fpf_involution(p)
+
+    monkeypatch.setattr(permaps.maps, "is_fpf_involution", counted)
+    assert psi_prime_inverse(m) == psi_prime_inverse(built) == theta
+    assert calls == []
+    assert psi_prime_inverse(Hypermap(m.sigma, m.alpha)) == theta
+    assert len(calls) == 1
+    with pytest.raises(NotFpf):
+        psi_prime_inverse(PermPair(m.sigma, identity(m.n)))
 
 
 def test_psi_prime_output_equals_a_checked_rooted_map():
@@ -154,20 +182,26 @@ def test_psi_prime_output_equals_a_checked_rooted_map():
             assert m == checked and hash(m) == hash(checked)
 
 
-def test_psi_prime_inverse_canonicalizes_once(monkeypatch):
-    # counted wherever it is looked up, so a detour through psi_inverse
-    # would count twice
-    calls = []
+def test_each_inverse_scans_once(monkeypatch):
+    # one canonical scan each, and no canonical hypermap built on the way
+    scans, forms = [], []
 
-    def counted(h):
-        calls.append(h)
+    def counted_scan(*args):
+        scans.append(args)
+        return _scan(*args)
+
+    def counted_form(h):
+        forms.append(h)
         return canonical_rooted_form(h)
 
-    monkeypatch.setattr(permaps.maps, "canonical_rooted_form", counted, raising=False)
-    monkeypatch.setattr(permaps.hypermap, "canonical_rooted_form", counted)
+    monkeypatch.setattr(permaps.hypermap, "_scan", counted_scan)
+    monkeypatch.setattr(permaps.hypermap, "canonical_rooted_form", counted_form)
     theta = Permutation((4, 6, 5, 1, 3, 2))
-    assert psi_prime_inverse(psi_prime(theta)) == theta
-    assert len(calls) == 1
+    for forward, inverse in ((psi_prime, psi_prime_inverse), (psi, psi_inverse)):
+        image = forward(theta)
+        scans.clear()
+        assert inverse(image) == theta
+        assert len(scans) == 1 and forms == []
 
 
 def test_vertex_census_matches_M_prime():
