@@ -31,14 +31,16 @@ size >= 2) left-to-right maxima to b1 steps.
 
 Both directions run in O(n log n).  The blocks share one flat slot
 array in creation order, so "cyclically from the pivot" is a cyclic
-range of positions.  The free slots are kept as sorted runs of at most
-1024 under a Fenwick tree of run lengths, which turns a label into a
-rank query (``delta``) or a select (``delta_inverse``); the pivot comes
-from a queue of candidates that only moves forward.  The count of free
-slots left of the pivot is kept between steps, so each placed element
-costs one descent over the runs, then a bisect or an index into one
-run and a delete from it.  Each direction is one loop over the word or
-the elements, with its state in locals.
+range of positions.  The free slots but the minima's, which fill as
+their blocks open, are kept as sorted runs of at most 1024 under a
+Fenwick tree of run lengths; a label is a rank query (``delta``) or a
+select (``delta_inverse``).  ``delta`` reads the pivot off the images,
+the smallest e with sigma(e) >= i when i is placed; ``delta_inverse``,
+which does not know sigma yet, keeps a queue of candidates.  Each
+element but a minimum costs one descent over the runs, then a bisect
+or an index into one run and a delete from it.  Both share one table
+of the tokens b0..b4095 and format or parse larger labels themselves.
+Each direction is one loop with its state in locals.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -210,8 +213,9 @@ class _Slots:
     The free slots are kept as sorted runs, one per 1024 slots, under a
     Fenwick tree (Fenwick 1994) of the run lengths.  The tree is sized to
     a power of two above the run count, so that a descent from its top
-    stays in it.  Slots not yet opened count as free, and the tree counts
-    every run, even one past n, as 1024 free slots; that is harmless,
+    stays in it.  A minimum fills its slot the moment its block opens,
+    so the runs start with every other slot and never hold a minimum's.
+    Slots of blocks not yet opened count as free; that is harmless,
     since all of these lie right of every opened slot and no count
     reaches them.  Placing an element is one descent: toward a given run
     for a rank, adding up the nodes it steps past, or by count for a
@@ -222,26 +226,25 @@ class _Slots:
     a placement costs O(log n).
 
     The pivot is the smallest placed element whose successor slot in its
-    own block is free.  Elements are placed in increasing order, so
-    pivot candidates join ``cands`` in increasing order; a candidate
-    dies once its successor slot fills and never revives, so a head
-    that only moves forward finds the pivot.  ``delta`` and
-    ``delta_inverse`` each place every element in one loop over this
-    state.  They count the free slots left of the pivot again only when
-    the pivot moves, at most n times in all, and drop that count by one
-    when a slot left of it fills; a whole encoding or decoding costs
-    O(n log n).
+    own block is free.  Once that slot fills, no later step makes it the
+    pivot again, so ``delta`` and ``delta_inverse`` find it with a head
+    that only moves forward.  They count the free slots left of the
+    pivot again only when the head moves, at most n times in all, and
+    drop that count by one when a slot left of it fills; a whole
+    encoding or decoding costs O(n log n).
     """
 
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.elt = [0] * n  # element in each slot, 0 while free
-        self.last = bytearray(n)  # 1 at the last slot of each block
-        self.cands: list[int] = []  # slots of pivot candidates
+    def __init__(self, orbit_slot: bytes) -> None:
+        # orbit_slot: 1 at each slot but those of the cycle minima
         size = 1 << _RUN_BITS
-        self.runs = [list(range(s, min(s + size, n))) for s in range(0, n, size)]
+        self.runs = [
+            list(itertools.compress(range(s, s + size), orbit_slot[s : s + size]))
+            for s in range(0, len(orbit_slot), size)
+        ]
         bits = len(self.runs).bit_length()
-        self.tree = [(i & -i) << _RUN_BITS for i in range(1 << bits)]  # every slot free
+        ends = [0, *itertools.accumulate(map(len, self.runs))]  # free slots left of each run
+        ends += ends[-1:] * ((1 << bits) - len(ends))  # node j sums runs [j - (j & -j), j)
+        self.tree = [ends[j] - ends[j & (j - 1)] for j in range(1 << bits)]
         self.steps = [1 << k for k in reversed(range(bits))]  # descent offsets
 
     def free_before(self, pos: int) -> int:
@@ -254,19 +257,23 @@ class _Slots:
             r &= r - 1
         return count
 
-    def to_permutation(self) -> Permutation:
-        """Read each block as a cycle; a word that ``delta_inverse`` walks
-        to its end has put n elements into the n slots, so none is empty."""
-        elt, last = self.elt, self.last
-        img = [0] * self.n
-        start = 0
-        for pos in range(self.n):
-            if last[pos]:
-                img[elt[pos] - 1] = elt[start]
-                start = pos + 1
-            else:
-                img[elt[pos] - 1] = elt[pos + 1]
-        return _perm(tuple(img))
+
+# the tokens b0, b1, ... and their labels, shared by all calls: grown under one lock, so
+# that no token lands at a wrong index, and capped, so that no long path keeps them large
+_LABEL_CAP = 4096
+_LABELS: list[str] = []
+_LABEL_OF: dict[str, int] = {}
+_GROWING = threading.Lock()
+
+
+def _label_tokens(n: int) -> list[str]:
+    """The tokens b0..bn, the shared table's own list below the cap."""
+    if len(_LABELS) < min(n + 1, _LABEL_CAP):
+        with _GROWING:
+            for k in range(len(_LABELS), min(n + 1, _LABEL_CAP)):
+                _LABELS.append(f"b{k}")
+                _LABEL_OF[_LABELS[k]] = k
+    return _LABELS if n < _LABEL_CAP else _LABELS + [f"b{k}" for k in range(_LABEL_CAP, n + 1)]
 
 
 def delta(p: Permutation) -> LabeledDyckPath:
@@ -275,6 +282,7 @@ def delta(p: Permutation) -> LabeledDyckPath:
     n = len(images)
     block_len = [0] * (n + 1)  # k at the minimum of each k-cycle
     slot_of = [0] * (n + 1)
+    orbit_slot = bytearray(b"\x01") * n  # 0 at each cycle minimum's slot
     opened = 0
     # an upward scan meets each cycle at its minimum, in the order blocks
     # open; only 1 takes slot 0, so elsewhere slot 0 marks a cycle not walked
@@ -282,31 +290,32 @@ def delta(p: Permutation) -> LabeledDyckPath:
         if slot_of[i]:
             continue
         slot_of[i], t, e = opened, opened + 1, images[i - 1]
+        orbit_slot[opened] = 0
         while e != i:
             slot_of[e] = t
             t, e = t + 1, images[e - 1]
         block_len[i], opened = t - opened, t
-    slots = _Slots(n)
-    elt, last, cands, runs, tree, steps = (
-        slots.elt, slots.last, slots.cands, slots.runs, slots.tree, slots.steps
-    )
+    slots = _Slots(orbit_slot)
+    runs, tree, steps = slots.runs, slots.tree, slots.steps
+    labels = _label_tokens(n)
     tokens: list[str] = []
-    head = free = before = 0  # before: free slots left of the pivot at slot ``at``
-    at = -1
+    # placing i, the pivot is the smallest e with images[e - 1] >= i: an
+    # e < i on the arc of i's cycle into i qualifies, so there is one
+    head = free = before = at = 0  # the pivot is element head + 1, at slot ``at``
     for i in range(1, n + 1):
         k = block_len[i]
-        pos = slot_of[i]
         if k:  # a new block opens right of every other slot
             tokens.extend(["a"] * k)
             tokens.append("b0")
-            free += k
-            last[pos + k - 1] = 1
-        else:
-            while elt[cands[head] + 1]:
+            free += k - 1
+            continue
+        if images[head] < i:
+            head += 1
+            while images[head] < i:
                 head += 1
-            if cands[head] != at:
-                at = cands[head]
-                before = slots.free_before(at)
+            at = slot_of[head + 1]
+            before = slots.free_before(at)
+        pos = slot_of[i]
         r = pos >> _RUN_BITS
         left = node = 0  # free slots left of run r, in the nodes stepped past
         for step in steps:
@@ -319,18 +328,17 @@ def delta(p: Permutation) -> LabeledDyckPath:
         run = runs[r]
         j = bisect_left(run, pos)
         del run[j]
-        if not k:
-            left += j
-            if pos > at:
-                tokens.append(f"b{left + 1 - before}")
-            else:
-                tokens.append(f"b{free - before + left + 1}")
-                before -= 1
+        left += j
+        if pos > at:
+            tokens.append(labels[left + 1 - before])
+        else:
+            tokens.append(labels[free - before + left + 1])
+            before -= 1
         free -= 1
-        elt[pos] = i
-        if not last[pos] and not elt[pos + 1]:
-            cands.append(pos)
     return _labeled_path(tuple(tokens), DELTA)
+
+
+_STEP_MARKS = bytes.maketrans(b"a0123456789", b"\x01dddddddddd")  # label digits: d
 
 
 def delta_inverse(lp: LabeledDyckPath) -> Permutation:
@@ -343,14 +351,20 @@ def delta_inverse(lp: LabeledDyckPath) -> Permutation:
     # the walk keeps the rules of _checked_b_steps and stops at the first
     # bad step, before any block could run past the n slots; a label it
     # passes is at most the height in front, which is the number of free
-    # slots, so every select finds a slot
-    slots = _Slots(len(word) // 2)
-    elt, last, cands, runs, tree, steps = (
-        slots.elt, slots.last, slots.cands, slots.runs, slots.tree, slots.steps
-    )
+    # slots, so every select finds a slot.  Each a step is a slot, and the
+    # first a of each run, the one after a label, is a cycle minimum's
+    marks = (b"d" + "".join(word).encode()).translate(_STEP_MARKS, b"b")
+    slots = _Slots(marks.replace(b"d\x01", b"d\x00").translate(None, b"d"))
+    runs, tree, steps = slots.runs, slots.tree, slots.steps
+    label_of = _LABEL_OF
+    n = len(word) // 2
+    # succ: the element in the next slot of each slot's block, cyclically, 0 while
+    # unknown; its extra entry makes slot n a dead candidate that the head moves past
+    succ = [0] * n + [1]
+    order: list[int] = []  # the slot of each element placed
+    cands = [n]  # slots of pivot candidates
     end = len(word) - 1
-    height = ups = element = opened = head = free = before = 0
-    at = -1
+    height = ups = element = opened = head = free = before = at = 0
     for i, tok in enumerate(word):
         if tok == "a":
             height += 1
@@ -358,25 +372,28 @@ def delta_inverse(lp: LabeledDyckPath) -> Permutation:
             if height > end - i:
                 break
             continue
-        try:
-            label = int(tok[1:])
-        except ValueError:  # more digits than int() reads
-            break
+        label = label_of.get(tok)
+        if label is None:  # zero-padded, or past the shared table
+            try:
+                label = int(tok[1:])
+            except ValueError:  # more digits than int() reads
+                break
         # a b step at height 0 follows no a and admits no label in 1..0
         if (label != 0) if ups else not 1 <= label <= height:
             break
         height -= 1
         element += 1
-        if ups:  # a new block opens right of every other slot, at free slot free + 1
-            target = free + 1
-            free += ups
+        if ups:  # a new block opens right of every other slot
+            pos = opened
             opened += ups
-            last[opened - 1] = 1
+            free += ups - 1
+            succ[opened - 1] = element
             ups = 0
         else:
-            while elt[cands[head] + 1]:
+            if succ[cands[head]]:
                 head += 1
-            if cands[head] != at:
+                while succ[cands[head]]:
+                    head += 1
                 at = cands[head]
                 before = slots.free_before(at)
             after = free - before  # free slots right of the pivot
@@ -385,22 +402,23 @@ def delta_inverse(lp: LabeledDyckPath) -> Permutation:
             else:
                 target = label - after
                 before -= 1
-        r = 0
-        for step in steps:
-            nxt = r + step
-            count = tree[nxt]
-            if count < target:
-                r = nxt
-                target -= count
-            else:  # nxt covers the run sought
-                tree[nxt] = count - 1
-        pos = runs[r].pop(target - 1)
-        free -= 1
-        elt[pos] = element
-        if not last[pos] and not elt[pos + 1]:
+            r = 0
+            for step in steps:
+                nxt = r + step
+                count = tree[nxt]
+                if count < target:
+                    r = nxt
+                    target -= count
+                else:  # nxt covers the run sought
+                    tree[nxt] = count - 1
+            pos = runs[r].pop(target - 1)
+            free -= 1
+            succ[pos - 1] = element
+        order.append(pos)
+        if not succ[pos]:
             cands.append(pos)
     else:
-        return slots.to_permutation()
+        return _perm(tuple(map(succ.__getitem__, order)))
     raise InvalidLabeling(f"not a valid {DELTA} labeling: {format_labeled_path(lp)}")
 
 

@@ -210,7 +210,7 @@ def from_cycles(cycs: Iterable[Sequence[int]], n: int | None = None) -> Permutat
 
 
 _ONE_LINE_TOKEN = re.compile(r"[1-9]\d*\Z", re.ASCII)
-_CYCLE_TEXT = re.compile(r"(\(\d+(,\d+)*\))+\Z", re.ASCII)
+_CYCLE_TEXT = re.compile(r"\s*(\(\s*[0-9]+\s*(,\s*[0-9]+\s*)*\)\s*)+\Z")  # no space in a number
 
 
 def _ints(tokens: list[str], n: int) -> tuple[int, ...]:
@@ -235,9 +235,9 @@ def parse_permutation(text: str, notation: str = "one-line") -> Permutation:
             raise ParseError(f"not comma-separated positive integers: {text!r}")
         return Permutation(_ints(parts, len(parts)))
     if notation == "cycle":
-        compact = re.sub(r"\s+", "", text)
-        if not _CYCLE_TEXT.match(compact):
+        if not _CYCLE_TEXT.match(text):
             raise ParseError(f"not parenthesized cycles: {text!r}")
+        compact = re.sub(r"\s+", "", text)
         bodies = [body.split(",") for body in re.findall(r"\(([^()]*)\)", compact)]
         n = sum(map(len, bodies))
         cycs = [_ints(body, n) for body in bodies]

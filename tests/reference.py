@@ -38,7 +38,7 @@ fixed-point-free involutions that ``psi_prime`` takes.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, permutations
 from random import Random
 from typing import Iterator
 
@@ -489,6 +489,12 @@ def reference_enum_dyck_paths(n: int) -> Iterator[str]:
             word.pop()
 
     return extend([], 0, 0)
+
+
+def all_perms(n: int) -> Iterator[Permutation]:
+    """Every permutation of 1..n, images in lexicographic order."""
+    for images in permutations(range(1, n + 1)):
+        yield Permutation(images)
 
 
 def reference_enum_fpf_involutions(n: int) -> Iterator[Permutation]:

@@ -4,11 +4,14 @@ conversion, and enumeration."""
 import itertools
 import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permaps import dyck
 from permaps.dyck import (
     DELTA,
     RV,
@@ -34,17 +37,15 @@ from permaps.errors import (
 )
 from permaps.perm import Permutation, cycles, identity, is_indecomposable, lr_maxima
 from reference import (
+    all_perms,
     reference_convert_label_scheme,
+    random_perm,
     reference_count_labelings,
+    reference_delta,
     reference_delta_inverse,
     reference_enum_dyck_paths,
     reference_validate_labeling,
 )
-
-
-def all_perms(n):
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
 
 
 # --- words and validation ---------------------------------------------------
@@ -190,6 +191,73 @@ def test_delta_inverse_guards():
     # the height in front, which is the free-slot count; the public class
     # stays under InvalidLabeling
     assert issubclass(PlacementOutOfRange, InvalidLabeling)
+
+
+@pytest.fixture()
+def fresh_labels(monkeypatch):
+    """The shared label table emptied for one test; the module's own
+    table returns afterwards."""
+    monkeypatch.setattr(dyck, "_LABELS", [])
+    monkeypatch.setattr(dyck, "_LABEL_OF", {})
+
+
+def _assert_labels_aligned():
+    labels = dyck._LABELS
+    assert labels == [f"b{k}" for k in range(len(labels))]
+    assert dyck._LABEL_OF == {tok: k for k, tok in enumerate(labels)}
+
+
+def test_concurrent_label_growth_keeps_the_table_aligned(fresh_labels):
+    rng = random.Random(11)
+    perms = [random_perm(rng, n) for n in (9, 64, 300, 1100)]
+    expected = [reference_delta(p) for p in perms]
+    workers = 4
+    start = threading.Barrier(workers)
+    results, errors = [], []
+
+    def work(shift):
+        # each worker takes the sizes in its own rotation, so that the
+        # table grows from several threads while others read it
+        try:
+            start.wait(timeout=10)
+            order = [(k + shift) % len(perms) for k in range(len(perms))]
+            words = {k: delta(perms[k]) for k in order}
+            backs = {k: delta_inverse(words[k]) for k in order}
+            results.append([(words[k], backs[k]) for k in range(len(perms))])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [list(zip(expected, perms))] * workers
+    assert len(dyck._LABELS) == 1101
+    _assert_labels_aligned()
+
+
+def test_labels_past_the_table_cap(fresh_labels):
+    # the cycle (1, n, n-1, ..., 2) places 2, 3, ..., n at ranks n-1 down
+    # to 1 from the pivot 1, so its labels run past the cap: those are
+    # formatted and parsed by the call, and the table stops at the cap
+    n = dyck._LABEL_CAP + 3
+    p = Permutation((n, *range(1, n - 1), n - 1))
+    w = delta(p)
+    assert w.word == ("a",) * n + ("b0",) + tuple(f"b{k}" for k in range(n - 1, 0, -1))
+    assert delta_inverse(w) == p
+    assert delta_inverse(LabeledDyckPath(w.word, DELTA)) == p
+    assert len(dyck._LABELS) == dyck._LABEL_CAP
+    _assert_labels_aligned()
+    q = random_perm(random.Random(5), n)
+    assert delta_inverse(delta(q)) == q
 
 
 # --- scheme conversion ----------------------------------------------------------

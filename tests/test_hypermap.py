@@ -37,12 +37,7 @@ from permaps.perm import (
     lr_maxima,
     parse_permutation,
 )
-from reference import outcome, reference_psi_inverse
-
-
-def all_perms(n):
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
+from reference import all_perms, outcome, reference_psi_inverse
 
 
 def all_pairs(n):

@@ -38,27 +38,13 @@ from permaps.perm import (
     lr_maxima,
     parse_permutation,
 )
-from reference import outcome, reference_psi_prime, reference_psi_prime_inverse
-
-
-def fpf_involutions(n):
-    """All fixed-point-free involutions of S_n, smallest-pair-first order."""
-
-    def rec(avail):
-        if not avail:
-            yield ()
-            return
-        first = avail[0]
-        for k in avail[1:]:
-            rest = tuple(x for x in avail[1:] if x != k)
-            for pairs in rec(rest):
-                yield ((first, k),) + pairs
-
-    for pairs in rec(tuple(range(1, n + 1))):
-        img = [0] * (n + 1)
-        for a, b in pairs:
-            img[a], img[b] = b, a
-        yield Permutation(tuple(img[1:]))
+from reference import (
+    all_perms,
+    outcome,
+    reference_enum_fpf_involutions,
+    reference_psi_prime,
+    reference_psi_prime_inverse,
+)
 
 
 def test_is_fpf_involution():
@@ -72,10 +58,10 @@ def test_is_fpf_involution():
 
 
 def test_fpf_enumeration_counts():
-    assert sum(1 for _ in fpf_involutions(2)) == 1
-    assert sum(1 for _ in fpf_involutions(4)) == 3
-    assert sum(1 for _ in fpf_involutions(6)) == 15
-    assert sum(1 for _ in fpf_involutions(8)) == 105
+    assert sum(1 for _ in reference_enum_fpf_involutions(2)) == 1
+    assert sum(1 for _ in reference_enum_fpf_involutions(4)) == 3
+    assert sum(1 for _ in reference_enum_fpf_involutions(6)) == 15
+    assert sum(1 for _ in reference_enum_fpf_involutions(8)) == 105
 
 
 def test_rooted_map_type():
@@ -105,7 +91,7 @@ def test_psi_prime_guards():
 
 def test_psi_prime_round_trip_exhaustive():
     for size in (4, 6, 8, 10):
-        thetas = [t for t in fpf_involutions(size) if is_indecomposable(t)]
+        thetas = [t for t in reference_enum_fpf_involutions(size) if is_indecomposable(t)]
         images = set()
         # a root-fixing relabeling: reverse the darts below the root
         phi = Permutation(tuple(range(size - 3, 0, -1)) + (size - 2,))
@@ -124,7 +110,7 @@ def test_psi_prime_round_trip_exhaustive():
 
 def test_psi_prime_images_cover_isomorphism_classes():
     # m = 1: two rooted maps, one vertex or two, pairwise non-isomorphic
-    thetas = [t for t in fpf_involutions(4) if is_indecomposable(t)]
+    thetas = [t for t in reference_enum_fpf_involutions(4) if is_indecomposable(t)]
     maps = [psi_prime(t) for t in thetas]
     assert not rooted_isomorphic(maps[0], maps[1])
     assert sorted(len(cycles(m.sigma).cycles) for m in maps) == [1, 2]
@@ -145,8 +131,8 @@ def test_psi_prime_inverse_matches_reference_on_every_small_pair():
     # same pairing, or the same declared error, as the composite through
     # the canonical hypermap and the hypermap bijection on one dart more
     for size in (2, 4, 6):
-        sigmas = [Permutation(im) for im in itertools.permutations(range(1, size + 1))]
-        for sigma, alpha in itertools.product(sigmas, fpf_involutions(size)):
+        sigmas = list(all_perms(size))
+        for sigma, alpha in itertools.product(sigmas, reference_enum_fpf_involutions(size)):
             pair = PermPair(sigma, alpha)
             assert outcome(psi_prime_inverse, pair) == outcome(reference_psi_prime_inverse, pair)
 
@@ -175,7 +161,7 @@ def test_psi_prime_output_equals_a_checked_rooted_map():
     # psi_prime's map skips RootedMap's checks; it must be
     # indistinguishable from one built through RootedMap(...)
     for size in range(4, 11, 2):
-        for theta in filter(is_indecomposable, fpf_involutions(size)):
+        for theta in filter(is_indecomposable, reference_enum_fpf_involutions(size)):
             m = psi_prime(theta)
             checked = RootedMap(Permutation(m.sigma.images), Permutation(m.alpha.images))
             assert type(m) is RootedMap and type(m.sigma) is Permutation
@@ -209,7 +195,7 @@ def test_vertex_census_matches_M_prime():
         m_edges = (size - 2) // 2
         census = Counter(
             len(cycles(psi_prime(t).sigma).cycles)
-            for t in fpf_involutions(size)
+            for t in reference_enum_fpf_involutions(size)
             if is_indecomposable(t)
         )
         Mp = M_family(m_edges + 1)[1]
@@ -239,7 +225,7 @@ def test_delta_on_pairings():
     # a pairing of S_2m encodes as a path of length 4m with exactly m
     # aab0 factors (every cycle is a 2-cycle)
     for m_edges in (1, 2, 3):
-        for t in fpf_involutions(2 * m_edges):
+        for t in reference_enum_fpf_involutions(2 * m_edges):
             w = delta(t)
             assert len(w.word) == 4 * m_edges
             text = " ".join(w.word)

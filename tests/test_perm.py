@@ -1,9 +1,8 @@
 """Permutation primitives: parsing, cycles, statistics, blocks, transform."""
 
-import itertools
-
 import pytest
 
+from permaps.cli import dispatch
 from permaps.errors import EmptyInput, NotABijection, ParseError, SizeMismatch
 from permaps.hypermap import hypermap_from_text
 from permaps.perm import (
@@ -25,11 +24,7 @@ from permaps.perm import (
     parse_permutation,
     rl_minima,
 )
-
-
-def all_perms(n):
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
+from reference import all_perms
 
 
 # --- construction and text forms ---------------------------------------
@@ -110,6 +105,19 @@ def test_parse_cycle():
         parse_permutation("(2,3)", notation="cycle")
     with pytest.raises(NotABijection):
         parse_permutation("(1,2)(2,3)", notation="cycle")
+
+
+def test_parse_cycle_keeps_numbers_apart():
+    # whitespace may stand around parentheses and commas, but not inside
+    # a number: "1 0" is two digits, not ten
+    with pytest.raises(ParseError, match="not parenthesized cycles"):
+        parse_permutation("(2,1 0,3,4,5,6,7,8,9)(1)", notation="cycle")
+    assert parse_permutation("( 2 ,1 )\t( 3 )\n", notation="cycle").images == (2, 1, 3)
+
+
+def test_cli_rejects_a_space_inside_a_cycle_element(capsys):
+    assert dispatch(["bij", "omr-inv", "--sigma", "(1 2)", "--alpha", "(1,2)"]) == 1
+    assert "not parenthesized cycles: '(1 2)'" in capsys.readouterr().err
 
 
 def test_parse_rejects_tokens_too_long_for_int():
