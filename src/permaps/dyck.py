@@ -14,7 +14,7 @@ labeled 1, and every label lies between 1 and |g|_a - |g|_b.  Either
 way a path with heights h_1..h_j ahead of its non-peak b's admits
 exactly prod (h_i + 1) labelings, and ``convert_label_scheme`` is the
 involution between the two schemes that fixes the underlying path.
-Every function here that reads a word walks it once, through
+Every function here that reads a word walks it once, by the rules of
 ``_b_steps``; the schemes differ only in the peak label, ``_peak_label``.
 
 ``delta`` encodes a permutation by scanning 1..n: a cycle minimum of a
@@ -50,11 +50,10 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import InvalidLabeling, InvalidPath, ParseError
-from .perm import Permutation, _perm
+from .perm import Permutation, _perm, _Record
 
 __all__ = [
     "DELTA",
@@ -84,8 +83,7 @@ def _check_scheme(scheme: str) -> None:
         raise ValueError(f"unknown labeling scheme: {scheme!r}")
 
 
-@dataclass(frozen=True)
-class LabeledDyckPath:
+class LabeledDyckPath(_Record):
     """A token sequence over ``a`` / ``b<k>`` plus its labeling scheme.
 
     Construction checks token syntax only; semantic validity against the
@@ -93,16 +91,16 @@ class LabeledDyckPath:
     can be built and tested.
     """
 
-    word: tuple[str, ...]
-    scheme: str
+    __slots__ = __match_args__ = ("word", "scheme")
 
-    def __post_init__(self) -> None:
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
-        _check_scheme(self.scheme)
+    def __init__(self, word: Sequence[str], scheme: str) -> None:
+        word = tuple(word)
+        _check_scheme(scheme)
         for tok in word:
             if not _TOKEN.match(tok):
                 raise ParseError(f"bad path token: {tok!r}")
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "scheme", scheme)
 
     def underlying(self) -> str:
         """The unlabeled a/b word."""
@@ -121,12 +119,13 @@ def _labeled_path(word: tuple[str, ...], scheme: str) -> LabeledDyckPath:
     return lp
 
 
-def _b_steps(word: Sequence[str]) -> Iterator[tuple[int, int, int]]:
+def _b_steps(word: Sequence[str]) -> list[tuple[int, int, int]]:
     """(index, height in front, a's right before) for each b step of a
     Dyck word, given as a string or as tokens; raises InvalidPath at the
     first step after which the word cannot be completed as a Dyck word
     (a step below zero, one too high to come back down in the steps
     left, or one that is neither a nor b)."""
+    steps = []
     height = run = 0
     last = len(word) - 1
     for i, step in enumerate(word):
@@ -136,13 +135,13 @@ def _b_steps(word: Sequence[str]) -> Iterator[tuple[int, int, int]]:
             if height > last - i:
                 break
         elif height and step[0] == "b":
-            yield i, height, run
+            steps.append((i, height, run))
             height -= 1
             run = 0
         else:
             break
-    else:
-        return  # every height fitted the steps left, so the word ends at 0
+    else:  # every height fitted the steps left, so the word ends at 0
+        return steps
     raise InvalidPath(f"not a Dyck word: {word!r}")
 
 
@@ -155,8 +154,7 @@ def _peak_label(scheme: str) -> int:
 def validate_dyck(word: str) -> bool:
     """True for a balanced a/b word whose prefixes never dip below zero."""
     try:
-        for _ in _b_steps(word):
-            pass
+        _b_steps(word)
     except InvalidPath:
         return False
     return True
@@ -168,30 +166,43 @@ def is_primitive(word: str) -> bool:
     return closing == [len(word) - 1]
 
 
-def _checked_b_steps(lp: LabeledDyckPath) -> Iterator[tuple[int, int, int, int]]:
+def _checked_b_steps(lp: LabeledDyckPath) -> list[tuple[int, int, int, int]]:
     """``_b_steps`` of a labeled path with each step's label appended;
     raises InvalidLabeling at the first label or step that breaks the
     scheme or the Dyck word."""
     word, scheme = lp.word, lp.scheme
     peak = _peak_label(scheme)
-    try:
-        for i, height, run in _b_steps(word):
-            label = int(word[i][1:])
-            if (label != peak) if run else not 1 <= label <= height:
+    steps = []
+    height = run = 0
+    last = len(word) - 1
+    for i, tok in enumerate(word):
+        if tok == "a":
+            height += 1
+            run += 1
+            if height > last - i:
                 break
-            yield i, height, run, label
-        else:
-            return
-    except (InvalidPath, ValueError):  # ValueError: more digits than int() reads
-        pass
+            continue
+        label = _LABEL_OF.get(tok)
+        if label is None:  # zero-padded, or past the shared table
+            try:
+                label = int(tok[1:])
+            except ValueError:  # more digits than int() reads
+                break
+        # a b step at height 0 follows no a and admits no label in 1..0
+        if (label != peak) if run else not 1 <= label <= height:
+            break
+        steps.append((i, height, run, label))
+        height -= 1
+        run = 0
+    else:
+        return steps
     raise InvalidLabeling(f"not a valid {scheme} labeling: {format_labeled_path(lp)}")
 
 
 def validate_labeling(lp: LabeledDyckPath) -> bool:
     """Check every b label against the path shape and the scheme rules."""
     try:
-        for _ in _checked_b_steps(lp):
-            pass
+        _checked_b_steps(lp)
     except InvalidLabeling:
         return False
     return True
@@ -461,7 +472,7 @@ def enum_dyck_paths(n: int) -> Iterator[str]:
 def _label_choices(word: str, scheme: str) -> list[tuple[int, range]]:
     # the index of each b step and the labels it admits; a word that is
     # not Dyck raises InvalidPath even when the scheme is unknown too
-    steps = list(_b_steps(word))
+    steps = _b_steps(word)
     _check_scheme(scheme)
     peak = _peak_label(scheme)
     return [(i, range(peak, peak + 1) if run else range(1, h + 1)) for i, h, run in steps]

@@ -587,7 +587,7 @@ def _path_weight(word: str, rule) -> BivariatePoly:
     # on a single path, each step landing one below the height in front
     from .dyck import _b_steps
 
-    steps = list(_b_steps(word))  # a word that is not Dyck fails before any packing
+    steps = _b_steps(word)  # a word that is not Dyck fails before any packing
     pack = _path_packing(len(steps), rule)
     v = 1
     for _, height, run in steps:

@@ -43,7 +43,6 @@ for the check of ``Hypermap(...)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -57,6 +56,7 @@ from .errors import (
 from .perm import (
     Permutation,
     _perm,
+    _Record,
     cycles,
     format_cycles,
     from_cycles,
@@ -80,30 +80,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PermPair:
+class PermPair(_Record):
     """Two permutations of the same {1..n}, transitive or not."""
 
-    sigma: Permutation
-    alpha: Permutation
+    __slots__ = __match_args__ = ("sigma", "alpha")
 
-    def __post_init__(self) -> None:
-        if len(self.sigma.images) != len(self.alpha.images):
-            raise SizeMismatch(
-                f"sigma acts on 1..{self.sigma.n} but alpha on 1..{self.alpha.n}"
-            )
+    def __init__(self, sigma: Permutation, alpha: Permutation) -> None:
+        if len(sigma.images) != len(alpha.images):
+            raise SizeMismatch(f"sigma acts on 1..{sigma.n} but alpha on 1..{alpha.n}")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def n(self) -> int:
         return self.sigma.n
 
 
-@dataclass(frozen=True)
 class Hypermap(PermPair):
     """A transitive PermPair; construction checks transitivity."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, sigma: Permutation, alpha: Permutation) -> None:
+        super().__init__(sigma, alpha)
         if not is_transitive(self):
             raise NotTransitive("sigma and alpha do not act transitively")
 

@@ -18,8 +18,6 @@ over all rooted maps with m edges is the polynomial M'_{m+1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .enumpoly import M_family, i_count
 from .errors import NotFpf, SizeTooSmall
 from .hypermap import (
@@ -55,12 +53,13 @@ def is_fpf_involution(p: Permutation) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class RootedMap(Hypermap):
     """A hypermap whose alpha is a fixed-point-free involution."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    __slots__ = ()
+
+    def __init__(self, sigma: Permutation, alpha: Permutation) -> None:
+        super().__init__(sigma, alpha)
         if not is_fpf_involution(self.alpha):
             raise NotFpf("alpha must be a fixed-point-free involution")
 

@@ -19,7 +19,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -64,6 +63,7 @@ from .perm import (
     Permutation,
     _cycle_count,
     _perm,
+    _Record,
     conjugate,
     format_permutation,
     identity,
@@ -119,8 +119,7 @@ def enum_fpf_involutions(n: int) -> Iterator[Permutation]:
             return
 
 
-@dataclass
-class DistributionTable:
+class DistributionTable(_Record, frozen=False):
     """Joint statistic counts for all of S_n.
 
     ``entries`` maps (cycles, lr_maxima, rl_minima, indecomposable) to
@@ -128,10 +127,11 @@ class DistributionTable:
     total n!.
     """
 
-    n: int
-    entries: dict[tuple[int, int, int, bool], int] = field(default_factory=dict)
-
+    __match_args__ = ("n", "entries")
     FIELDS = ("cycles", "lr_maxima", "rl_minima", "indecomposable")
+
+    def __init__(self, n: int, entries: dict[tuple[int, int, int, bool], int] | None = None):
+        self.n, self.entries = n, {} if entries is None else entries
 
     def total(self) -> int:
         return sum(self.entries.values())
@@ -206,11 +206,11 @@ def hypermap_census(n: int, limit: int = 5) -> tuple[int, int]:
 # --- verification suite ------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
-    check: str
-    status: str  # "pass" | "fail"
-    witness: dict | None = None
+class CheckResult(_Record, frozen=False):
+    __match_args__ = ("check", "status", "witness")
+
+    def __init__(self, check: str, status: str, witness: dict | None = None) -> None:
+        self.check, self.status, self.witness = check, status, witness  # status: "pass" | "fail"
 
     def to_json_obj(self) -> dict:
         obj: dict = {"check": self.check, "status": self.status}
@@ -219,9 +219,11 @@ class CheckResult:
         return obj
 
 
-@dataclass
-class VerifyReport:
-    results: list[CheckResult]
+class VerifyReport(_Record, frozen=False):
+    __match_args__ = ("results",)
+
+    def __init__(self, results: list[CheckResult]) -> None:
+        self.results = results
 
     @property
     def passed(self) -> bool:

@@ -22,12 +22,14 @@ and ``from_cycles`` check that the images are plain ints forming a
 bijection of 1..n.  Permutations the library derives from valid ones
 (inverses, conjugates, blocks, cycles flattened or closed) are built by the
 private ``_perm``, which trusts its images and skips that check.
+The package's value types are frozen ``__slots__`` records over
+``_Record``, which stand in for frozen dataclasses at less import cost.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, NotABijection, ParseError, SizeMismatch
@@ -54,8 +56,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Record:
+    """The fields named in ``__match_args__``, as in a dataclass: equal and
+    hashed alike only within one class, shown as ``Name(field=value, ...)``,
+    pickled through the constructor, frozen (``__init__`` sets each field by
+    ``object.__setattr__``) unless declared ``frozen=False``."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        if "__match_args__" in cls.__dict__:  # the field values in one C call
+            cls._key = staticmethod(attrgetter(*cls.__match_args__))
+        if not frozen:
+            cls.__hash__ = None
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+class Permutation(_Record):
     """A bijection of {1..n}, stored as its tuple of images.
 
     >>> p = Permutation((3, 1, 2))
@@ -63,16 +101,16 @@ class Permutation:
     (3, 2, 3)
     """
 
-    images: tuple[int, ...]
+    __slots__ = __match_args__ = ("images",)
 
-    def __post_init__(self) -> None:
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
+    def __init__(self, images: Iterable[int]) -> None:
+        images = tuple(images)
         n = len(images)
         if n == 0:
             raise NotABijection("a permutation needs at least one element")
         if not _is_bijection(images, n):
             raise NotABijection(f"not a bijection of 1..{n}: {images}")
+        object.__setattr__(self, "images", images)
 
     @property
     def n(self) -> int:
@@ -94,16 +132,18 @@ def _is_bijection(values: Sequence[int], n: int) -> bool:
     return {*values}.issuperset(range(1, n + 1))
 
 
+_set_images = Permutation.images.__set__
+
+
 def _perm(images: tuple[int, ...]) -> Permutation:
     """A Permutation on images already known to be a bijection of 1..n,
     built without the check of ``Permutation(...)``."""
     p = object.__new__(Permutation)
-    object.__setattr__(p, "images", images)
+    _set_images(p, images)
     return p
 
 
-@dataclass(frozen=True)
-class CycleForm:
+class CycleForm(_Record):
     """Disjoint cycles partitioning {1..n}.
 
     ``canonical`` distinguishes the two conventions in use: canonical
@@ -112,8 +152,11 @@ class CycleForm:
     cycles by minimum.
     """
 
-    cycles: tuple[tuple[int, ...], ...]
-    canonical: bool
+    __slots__ = __match_args__ = ("cycles", "canonical")
+
+    def __init__(self, cycles: tuple[tuple[int, ...], ...], canonical: bool) -> None:
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "canonical", canonical)
 
     def __str__(self) -> str:
         return format_cycles(self)

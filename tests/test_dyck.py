@@ -36,6 +36,7 @@ from permaps.errors import (
     PlacementOutOfRange,
 )
 from permaps.perm import Permutation, cycles, identity, is_indecomposable, lr_maxima
+from records import check_record
 from reference import (
     all_perms,
     reference_convert_label_scheme,
@@ -342,6 +343,9 @@ def test_parse_format_round_trip():
     lp = parse_labeled_path(text)
     assert format_labeled_path(lp) == text
     assert lp.underlying() == "aaaabaaabbaabbbbbb"
+    check_record(parse_labeled_path("a b0", RV), "LabeledDyckPath(word=('a', 'b0'), scheme='rv')")
+    check_record(convert_label_scheme(parse_labeled_path("a b1", RV)),
+                 "LabeledDyckPath(word=('a', 'b0'), scheme='delta')")
     with pytest.raises(ParseError):
         parse_labeled_path("")
     with pytest.raises(ParseError):

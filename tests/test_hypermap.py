@@ -37,6 +37,7 @@ from permaps.perm import (
     lr_maxima,
     parse_permutation,
 )
+from records import check_distinct_classes, check_record
 from reference import all_perms, outcome, reference_psi_inverse
 
 
@@ -74,6 +75,10 @@ def test_pair_size_mismatch():
 
 def test_make_hypermap():
     assert Hypermap(parse_permutation("(1,2,3)", "cycle"), identity(3))
+    sigma, alpha = Permutation((2, 1)), identity(2)
+    check_record(PermPair(sigma, alpha), "PermPair(sigma=Permutation(2,1), alpha=Permutation(1,2))")
+    check_record(Hypermap(sigma, alpha), "Hypermap(sigma=Permutation(2,1), alpha=Permutation(1,2))")
+    check_distinct_classes(PermPair(sigma, alpha), Hypermap(sigma, alpha))
     with pytest.raises(NotTransitive):
         Hypermap(identity(3), identity(3))
     with pytest.raises(NotTransitive):

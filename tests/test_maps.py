@@ -38,6 +38,7 @@ from permaps.perm import (
     lr_maxima,
     parse_permutation,
 )
+from records import check_distinct_classes, check_record
 from reference import (
     all_perms,
     outcome,
@@ -67,6 +68,8 @@ def test_fpf_enumeration_counts():
 def test_rooted_map_type():
     m = RootedMap(Permutation((1, 2)), Permutation((2, 1)))
     assert m.edge_count == 1
+    check_record(m, "RootedMap(sigma=Permutation(1,2), alpha=Permutation(2,1))")
+    check_distinct_classes(m, Hypermap(m.sigma, m.alpha), PermPair(m.sigma, m.alpha))
     with pytest.raises(NotFpf):
         RootedMap(parse_permutation("(1,2,3)", "cycle"), identity(3))
     with pytest.raises(NotTransitive):

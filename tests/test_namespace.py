@@ -6,6 +6,8 @@ import importlib
 import subprocess
 import sys
 
+import pytest
+
 import permaps
 
 PUBLIC = {
@@ -71,22 +73,27 @@ def _python(env, *args) -> subprocess.CompletedProcess:
 
 
 # ``python -m permaps ARGV`` through runpy, as ``-m`` runs it, then the
-# permaps submodules in sys.modules on stderr
+# names in sys.modules on stderr
 _RUN_MAIN = (
     "import runpy, sys\n"
     "sys.argv[0] = 'permaps'\n"
     "try:\n"
     "    runpy.run_module('permaps', run_name='__main__', alter_sys=True)\n"
     "finally:\n"
-    "    print(sorted(m for m in sys.modules if m.startswith('permaps.')), file=sys.stderr)\n"
+    "    print(sorted(sys.modules), file=sys.stderr)\n"
 )
+
+
+def _loaded(env, *argv) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """Run the CLI on argv in a fresh interpreter; every module loaded then."""
+    done = _python(env, "-c", _RUN_MAIN, *argv)
+    return done, set(ast.literal_eval(done.stderr.splitlines()[-1]))
 
 
 def _imported(env, *argv) -> tuple[subprocess.CompletedProcess, set[str]]:
     """Run the CLI on argv in a fresh interpreter; the submodules it imported."""
-    done = _python(env, "-c", _RUN_MAIN, *argv)
-    last = done.stderr.splitlines()[-1]
-    return done, {name.split(".", 1)[1] for name in ast.literal_eval(last)}
+    done, loaded = _loaded(env, *argv)
+    return done, {name.split(".", 1)[1] for name in loaded if name.startswith("permaps.")}
 
 
 def test_import_loads_no_submodule(child_env):
@@ -129,6 +136,28 @@ def test_bij_and_verify_load_their_modules(child_env):
     done, loaded = _imported(child_env, *argv, "--inject-fault", "skip-canonicalization")
     assert done.returncode == 1 and "FAIL" in done.stdout
     assert loaded >= _COMPUTING
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["verify", "--max-n", "3", "--pair-max-n", "2", "--fpf-max-size", "4"], 80),
+        (["poly", "C", "--n", "5"], 70),
+    ],
+    ids=["verify", "poly"],
+)
+def test_commands_keep_to_their_import_budget(child_env, argv, budget):
+    # counted beyond what a bare interpreter loads (site's imports vary by
+    # install); dataclasses would bring inspect, and json serves JSON only
+    bare = _python(child_env, "-c", "import sys; print(sorted(sys.modules))")
+    bare = set(ast.literal_eval(bare.stdout))
+    done, loaded = _loaded(child_env, *argv)
+    extra = loaded - bare
+    assert done.returncode == 0, done.stderr
+    assert not extra & {"dataclasses", "inspect", "json"}
+    assert len(extra) <= budget, sorted(extra)
+    done, loaded = _loaded(child_env, *argv, "--format", "json")
+    assert done.returncode == 0 and not loaded & {"dataclasses", "inspect"}
 
 
 def test_star_import_and_dir_list_the_public_names(child_env):

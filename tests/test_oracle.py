@@ -27,6 +27,7 @@ from permaps.oracle import (
     verify_suite,
 )
 from permaps.perm import Permutation, fundamental_transform_inverse
+from records import check_record
 from reference import reference_enum_fpf_involutions
 
 
@@ -75,6 +76,11 @@ def test_joint_distribution_marginals():
     pair = t3.project(("cycles", "lr_maxima"))
     assert pair[(1, 1)] == 1  # 3,1,2 alone
     assert sum(pair.values()) == 6
+    text = "DistributionTable(n=2, entries={(2, 2, 2, False): 1, (1, 1, 1, True): 1})"
+    check_record(joint_distribution(2), text, frozen=False)
+    empty = oracle.DistributionTable(n=2)
+    check_record(empty, "DistributionTable(n=2, entries={})", frozen=False)
+    assert empty.entries is not oracle.DistributionTable(2).entries  # one dict each
 
 
 def test_joint_distribution_symmetry():
@@ -200,6 +206,13 @@ def test_verify_suite_json_and_text():
     lines = text.splitlines()
     assert lines[0] == "PASS indecomposable-count"
     assert lines[-1] == "all checks passed"
+    passed = oracle.CheckResult(check="c", status="pass")
+    check_record(passed, "CheckResult(check='c', status='pass', witness=None)", frozen=False)
+    failed = oracle.CheckResult("c", "fail", {"n": 1})
+    check_record(failed, "CheckResult(check='c', status='fail', witness={'n': 1})", frozen=False)
+    text = "VerifyReport(results=[CheckResult(check='c', status='pass', witness=None)])"
+    check_record(oracle.VerifyReport(results=[passed]), text, frozen=False)
+    assert report == verify_suite(max_n=2, pair_max_n=2, fpf_max_size=4)
 
     bad = verify_suite(max_n=3, pair_max_n=3, fault="skip-canonicalization")
     obj = bad.to_json_obj()

@@ -24,6 +24,7 @@ from permaps.perm import (
     parse_permutation,
     rl_minima,
 )
+from records import check_record
 from reference import all_perms
 
 
@@ -194,6 +195,11 @@ def test_conjugate():
 def test_cycles_canonical_ordering():
     p = Permutation((6, 5, 7, 4, 2, 10, 3, 8, 9, 1))
     assert format_cycles(cycles(p)) == "(4)(5,2)(7,3)(8)(9)(10,1,6)"
+    check_record(p, "Permutation(6,5,7,4,2,10,3,8,9,1)")
+    check_record(
+        cycles(p, canonical=False),
+        "CycleForm(cycles=((1, 6, 10), (2, 5), (3, 7), (4,), (8,), (9,)), canonical=False)",
+    )
 
 
 def test_from_cycles_validation():

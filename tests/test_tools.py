@@ -18,10 +18,23 @@ def _side_by_side(*args) -> subprocess.CompletedProcess:
 
 
 def test_side_by_side_times_equal_outputs():
-    result = _side_by_side("hypermap.psi_inverse(hypermap.psi(perm.Permutation((2, 3, 1))))")
+    # a permutation, a Hypermap and a VerifyReport of CheckResults: each
+    # side's records are its own classes, so they compare by their fields
+    result = _side_by_side(
+        "hypermap.psi_inverse(hypermap.psi(perm.Permutation((2, 3, 1))))",
+        "hypermap.psi(perm.Permutation((2, 3, 1)))",
+        "oracle.verify_suite(2, 2, 4)",
+    )
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 1 and "b/a min" in lines[0]
+    assert len(lines) == 3 and all("b/a min" in line for line in lines)
+
+
+def test_side_by_side_times_cold_commands():
+    result = _side_by_side("--cold", "count", "indecomposable", "--n", "3")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("permaps count indecomposable --n 3: a median ")
+    assert result.stdout.endswith(" | b won 0/1\n") or result.stdout.endswith(" | b won 1/1\n")
 
 
 def test_side_by_side_stops_on_differing_outputs():

@@ -6,18 +6,31 @@ evaluated in a namespace holding the package as ``pm`` and each of its
 submodules by name, after ``--setup`` has run there.  Rounds alternate
 which side goes first; each sample times one evaluation, so batch many
 calls inside the expression.  The outputs of the two sides must be
-equal once every object with ``.images`` is read as its images.  Example (see also the README):
+equal once every object with ``.images`` is read as its images, and
+every other record (a class with ``__match_args__``, dataclass or not)
+as its fields.  Example (see also the README):
 
     python tools/side_by_side.py PARENT/src src --setup "p = perm.identity(64)" \\
         "hypermap.phi_bijection(p)" "oracle.verify_suite(5, 3, 6)"
+
+``--cold ARGV...`` (the last option) times ``python -m permaps ARGV``
+instead, each run in a fresh interpreter with that side's ``src`` first
+on PYTHONPATH, and prints each side's median and quartiles and the
+rounds that side b won.  Exit code and stdout must be equal.  The runs
+compile whatever has no bytecode cache, so for the cost of a checkout
+run on trees without ``__pycache__`` and with PYTHONDONTWRITEBYTECODE=1:
+
+    PYTHONDONTWRITEBYTECODE=1 python tools/side_by_side.py PARENT/src src \\
+        --rounds 20 --cold verify --max-n 5 --pair-max-n 4 --fpf-max-size 8
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.util
+import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -38,11 +51,11 @@ def load(src: str, name: str) -> dict:
 
 
 def plain(x):
-    """x with permutations read as images and dataclasses as field tuples."""
+    """x with permutations read as images and other records as field tuples."""
     if hasattr(x, "images"):
         return x.images
-    if dataclasses.is_dataclass(x):
-        return tuple(plain(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if hasattr(type(x), "__match_args__"):
+        return tuple(plain(getattr(x, name)) for name in type(x).__match_args__)
     if isinstance(x, (list, tuple)):
         return tuple(plain(v) for v in x)
     if isinstance(x, dict):
@@ -50,14 +63,49 @@ def plain(x):
     return x
 
 
+def _quartiles(samples: list[float]) -> list[float]:
+    return statistics.quantiles(samples, n=4) if len(samples) > 1 else samples * 3
+
+
+def cold(srcs: list[str], argv: list[str], rounds: int) -> None:
+    """Time ``python -m permaps ARGV`` from each tree in fresh interpreters."""
+    def run(src: str) -> tuple[float, tuple]:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        t0 = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "permaps", *argv], env=env,
+                              capture_output=True, text=True)
+        return time.perf_counter() - t0, (done.returncode, done.stdout)
+
+    samples: list[list[float]] = [[], []]
+    for r in range(rounds):
+        outputs = []
+        for s in (0, 1) if r % 2 == 0 else (1, 0):
+            seconds, output = run(srcs[s])
+            samples[s].append(seconds)
+            outputs.append(output)
+        if outputs[0] != outputs[1]:
+            raise SystemExit(f"outputs differ for permaps {' '.join(argv)}")
+    (a_med, b_med), (a_q, b_q) = ([f(s) for s in samples] for f in (statistics.median, _quartiles))
+    wins = sum(b < a for a, b in zip(*samples))
+    print(f"permaps {' '.join(argv)}: a median {a_med * 1e3:.1f} ms [{a_q[0] * 1e3:.1f}, "
+          f"{a_q[2] * 1e3:.1f}] | b median {b_med * 1e3:.1f} ms [{b_q[0] * 1e3:.1f}, "
+          f"{b_q[2] * 1e3:.1f}] | b/a median {b_med / a_med:.3f} | b won {wins}/{rounds}")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src_a")
     ap.add_argument("src_b")
-    ap.add_argument("exprs", nargs="+")
+    # with --cold no expression is needed; "*" would stop the expressions at an option
+    ap.add_argument("exprs", nargs="*" if "--cold" in sys.argv else "+")
     ap.add_argument("--setup", default="")
     ap.add_argument("--rounds", type=int, default=10)
+    ap.add_argument("--cold", nargs=argparse.REMAINDER, metavar="ARGV",
+                    help="time `python -m permaps ARGV` cold instead; the last option")
     args = ap.parse_args()
+    if args.cold is not None:
+        return cold([args.src_a, args.src_b], args.cold, args.rounds)
     sides = [load(args.src_a, "side_a"), load(args.src_b, "side_b")]
     for ns in sides:
         exec(args.setup, ns)
