@@ -16,9 +16,9 @@ as its fields.  Example (see also the README):
 ``--cold ARGV...`` (the last option) times ``python -m permaps ARGV``
 instead, each run in a fresh interpreter with that side's ``src`` first
 on PYTHONPATH, and prints each side's median and quartiles and the
-rounds that side b won.  Exit code and stdout must be equal.  The runs
-compile whatever has no bytecode cache, so for the cost of a checkout
-run on trees without ``__pycache__`` and with PYTHONDONTWRITEBYTECODE=1:
+rounds that side b won.  Exit code and stdout must be equal.  To count
+compiling the sources, as a fresh checkout does, run it on trees
+without ``__pycache__`` and with PYTHONDONTWRITEBYTECODE=1:
 
     PYTHONDONTWRITEBYTECODE=1 python tools/side_by_side.py PARENT/src src \\
         --rounds 20 --cold verify --max-n 5 --pair-max-n 4 --fpf-max-size 8
@@ -97,7 +97,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src_a")
     ap.add_argument("src_b")
-    # with --cold no expression is needed; "*" would stop the expressions at an option
+    # "+" lets the expressions follow an option; --cold takes none
     ap.add_argument("exprs", nargs="*" if "--cold" in sys.argv else "+")
     ap.add_argument("--setup", default="")
     ap.add_argument("--rounds", type=int, default=10)
