@@ -13,7 +13,6 @@ import argparse
 import math
 import sys
 from importlib import import_module
-from typing import Sequence
 
 from . import __version__
 from .errors import LimitExceeded, PermapsError
@@ -272,9 +271,7 @@ def _command(sub, name: str, handler, options: dict, formats=("plain", "json", "
     p.set_defaults(handler=handler)
 
 
-def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser for ``argv``, built out only under the first command that
-    argv names (all of them when it names none): the one argparse enters."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permaps",
         description="Exact counts, polynomials, and bijections for "
@@ -285,62 +282,60 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}", help=argparse.SUPPRESS
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = ("count", "table", "bij", "poly", "prob", "verify")
-    named = next((a for a in argv if a in commands), None)
 
-    def group(name: str, help: str, dest: str = "what"):
-        # the subcommands of command ``name``, or None when argv names another
-        p = sub.add_parser(name, help=help)
-        return p.add_subparsers(dest=dest, required=True) if named in (None, name) else None
+    count = sub.add_parser("count", help="single exact counts")
+    count_sub = count.add_subparsers(dest="what", required=True)
+    _command(
+        count_sub, "indecomposable", _cmd_count_indecomposable, {"n": _SIZE_ARG},
+        help="indecomposable permutations of S_n",
+    )
+    labeled = {"action": "store_true", "help": "count labeled (transitive pairs) instead"}
+    _command(
+        count_sub, "hypermaps", _cmd_count_hypermaps, {"n": _SIZE_ARG, "labeled": labeled},
+        help="rooted hypermaps on n darts",
+    )
+    _command(count_sub, "maps", _cmd_count_maps, {"m": _SIZE_ARG}, help="rooted maps with m edges")
+    _command(
+        count_sub, "stirling-indec", _cmd_count_stirling, {"n": _SIZE_ARG, "k": _SIZE_ARG},
+        help="indecomposable permutations of S_n with k cycles",
+    )
 
-    if count := group("count", "single exact counts"):
-        _command(
-            count, "indecomposable", _cmd_count_indecomposable, {"n": _SIZE_ARG},
-            help="indecomposable permutations of S_n",
-        )
-        labeled = {"action": "store_true", "help": "count labeled (transitive pairs) instead"}
-        _command(
-            count, "hypermaps", _cmd_count_hypermaps, {"n": _SIZE_ARG, "labeled": labeled},
-            help="rooted hypermaps on n darts",
-        )
-        _command(count, "maps", _cmd_count_maps, {"m": _SIZE_ARG}, help="rooted maps with m edges")
-        _command(
-            count, "stirling-indec", _cmd_count_stirling, {"n": _SIZE_ARG, "k": _SIZE_ARG},
-            help="indecomposable permutations of S_n with k cycles",
-        )
+    table = sub.add_parser("table", help="whole tables of counts")
+    table_sub = table.add_subparsers(dest="what", required=True)
+    _command(
+        table_sub, "stirling-indec", _cmd_table_stirling, {"max-n": _SIZE_ARG},
+        help="triangle rows 2..max-n",
+    )
+    _command(
+        table_sub, "joint", _cmd_table_joint, {"max-n": _SIZE_ARG},
+        help="joint cycle/maxima polynomials 1..max-n",
+    )
 
-    if table := group("table", "whole tables of counts"):
-        _command(
-            table, "stirling-indec", _cmd_table_stirling, {"max-n": _SIZE_ARG},
-            help="triangle rows 2..max-n",
-        )
-        _command(
-            table, "joint", _cmd_table_joint, {"max-n": _SIZE_ARG},
-            help="joint cycle/maxima polynomials 1..max-n",
-        )
+    bij = sub.add_parser("bij", help="apply a bijection to one object")
+    bij_sub = bij.add_subparsers(dest="what", required=True)
+    for name, (inputs, _, _) in _BIJECTIONS.items():
+        _command(bij_sub, name, _cmd_bij, dict.fromkeys(inputs, {"required": True}), _NO_CSV)
 
-    if bij := group("bij", "apply a bijection to one object"):
-        for name, (inputs, _, _) in _BIJECTIONS.items():
-            _command(bij, name, _cmd_bij, dict.fromkeys(inputs, {"required": True}), _NO_CSV)
+    poly = sub.add_parser("poly", help="print an exact polynomial")
+    poly_sub = poly.add_subparsers(dest="which", required=True)
+    for name in ("A", "C", "L", "Lprime"):
+        _command(poly_sub, name, _cmd_poly, {"n": _SIZE_ARG})
+    for name in ("M", "Mprime"):
+        _command(poly_sub, name, _cmd_poly, {"m": _SIZE_ARG})
 
-    if poly := group("poly", "print an exact polynomial", "which"):
-        for name in ("A", "C", "L", "Lprime"):
-            _command(poly, name, _cmd_poly, {"n": _SIZE_ARG})
-        for name in ("M", "Mprime"):
-            _command(poly, name, _cmd_poly, {"m": _SIZE_ARG})
+    prob = sub.add_parser("prob", help="exact probabilities")
+    prob_sub = prob.add_subparsers(dest="what", required=True)
+    _command(
+        prob_sub, "transitive", _cmd_prob_transitive, {"n": _SIZE_ARG}, _NO_CSV,
+        help="P(random pair on n darts is transitive)",
+    )
 
-    if prob := group("prob", "exact probabilities"):
-        _command(
-            prob, "transitive", _cmd_prob_transitive, {"n": _SIZE_ARG}, _NO_CSV,
-            help="P(random pair on n darts is transitive)",
-        )
-
-    verify = {  # only where argv names verify, or no command
+    verify = {
         "max-n": {"type": int, "default": 7},
         "pair-max-n": {"type": int, "default": 5},
         "fpf-max-size": {"type": int, "default": 10},
         "inject-fault": {"choices": _Faults(), "default": None},
-    } if named in (None, "verify") else {}
+    }
     _command(sub, "verify", _cmd_verify, verify, _NO_CSV, help="run the exhaustive cross-check suite")
     return parser
 
@@ -348,7 +343,7 @@ def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
 def dispatch(argv: list[str]) -> int:
     """Parse argv and run one subcommand; returns the process exit code."""
     try:
-        args = _build_parser(argv).parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after help, 2 on a usage error
         return exc.code
     try:

@@ -14,7 +14,7 @@ labeled 1, and every label lies between 1 and |g|_a - |g|_b.  Either
 way a path with heights h_1..h_j ahead of its non-peak b's admits
 exactly prod (h_i + 1) labelings, and ``convert_label_scheme`` is the
 involution between the two schemes that fixes the underlying path.
-Every function here that reads a word walks it once, by the rules of
+Every function here that reads a word walks it once, through
 ``_b_steps``; the schemes differ only in the peak label, ``_peak_label``.
 
 ``delta`` encodes a permutation by scanning 1..n: a cycle minimum of a
@@ -173,29 +173,18 @@ def _checked_b_steps(lp: LabeledDyckPath) -> list[tuple[int, int, int, int]]:
     word, scheme = lp.word, lp.scheme
     peak = _peak_label(scheme)
     steps = []
-    height = run = 0
-    last = len(word) - 1
-    for i, tok in enumerate(word):
-        if tok == "a":
-            height += 1
-            run += 1
-            if height > last - i:
+    try:
+        for i, height, run in _b_steps(word):
+            label = _LABEL_OF.get(word[i])
+            if label is None:  # zero-padded, or past the shared table
+                label = int(word[i][1:])
+            if (label != peak) if run else not 1 <= label <= height:
                 break
-            continue
-        label = _LABEL_OF.get(tok)
-        if label is None:  # zero-padded, or past the shared table
-            try:
-                label = int(tok[1:])
-            except ValueError:  # more digits than int() reads
-                break
-        # a b step at height 0 follows no a and admits no label in 1..0
-        if (label != peak) if run else not 1 <= label <= height:
-            break
-        steps.append((i, height, run, label))
-        height -= 1
-        run = 0
-    else:
-        return steps
+            steps.append((i, height, run, label))
+        else:
+            return steps
+    except (InvalidPath, ValueError):  # ValueError: more digits than int() reads
+        pass
     raise InvalidLabeling(f"not a valid {scheme} labeling: {format_labeled_path(lp)}")
 
 

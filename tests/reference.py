@@ -9,10 +9,10 @@ cycles, and join components with union-find.  The path families come
 from their first-return recurrences on dict polynomials, and the joint
 table from the inverse of a series in z, with O(n) polynomial products
 per size.  The labeling checks keep their own height counters, one
-loop per check, where the library reads every word by one step rule.
-``reference_satisfies_lemma1`` is the syntactic test as first written,
-through the inverse of alpha, its right-to-left minima and two sets.
-``reference_enum_dyck_paths`` and
+loop per check, where the library reads every word through one step
+walker.  ``reference_satisfies_lemma1`` is the syntactic test as first
+written, through the inverse of alpha, its right-to-left minima and two
+sets.  ``reference_enum_dyck_paths`` and
 ``reference_enum_fpf_involutions`` are the enumerators as first
 written, recursive generators with one frame per step or pair, which
 pin the order of the library's one-loop forms.  ``reference_psi_inverse``

@@ -21,7 +21,7 @@ import json
 import os
 from pathlib import Path
 
-from permaps.cli import _build_parser, dispatch
+from permaps.cli import dispatch
 
 DATA = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
@@ -240,42 +240,6 @@ def test_version(monkeypatch):
     assert run_case(["--version"]) == {
         "argv": ["--version"], "code": 0, "stdout": "permaps 0.1.0\n", "stderr": ""
     }
-
-
-def _parse(parser, argv: list[str]) -> tuple:
-    # what parsing argv prints and exits with (None when it returns)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            parser.parse_args(argv)
-            code = None
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-def _parsers(parser) -> int:
-    # the parsers in the tree under this one, itself included
-    subs = parser._subparsers
-    return 1 + sum(map(_parsers, subs._group_actions[0].choices.values() if subs else ()))
-
-
-def test_the_parser_built_for_argv_prints_what_the_full_parser_prints(monkeypatch):
-    # the pinned wording is one Python's; this compares the two parsers on
-    # whichever Python runs it, on every usage error and help text pinned,
-    # and on argv where a command name follows another token
-    monkeypatch.setenv("COLUMNS", "80")
-    golden = json.loads(DATA.read_text())
-    cases = [c["argv"] for c in golden if c["code"] == 2 or {"-h", "--help"} & {*c["argv"]}]
-    assert len(cases) == 35
-    cases += [["bogus", "count"], ["poly", "verify"], ["--", "verify", "--max-n", "x"],
-              ["-h", "count"], ["--nope", "count", "maps", "--m", "2"], ["verify", "count"]]
-    full = _build_parser()
-    assert _parsers(full) == 28
-    for argv in cases:
-        assert _parse(_build_parser(argv), argv) == _parse(full, argv), argv
-    assert _parsers(_build_parser(["verify", "--max-n", "5"])) == 7
-    assert _parsers(_build_parser(["poly", "C", "--n", "5"])) == 13
 
 
 if __name__ == "__main__":
