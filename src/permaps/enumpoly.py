@@ -38,8 +38,8 @@ m!, (2m-1)!!, A_m, C_m, c_m and i_m each live in one append-only
 module-level list, grown iteratively up to the largest size asked for;
 entry m is computed from the entries below it.  The path families and
 joint_n live in lists of the same kind, extended by one walk to the
-size asked for.  Growth takes a lock and stored entries never change,
-so concurrent callers are safe.
+size asked for.  One helper grows every table, under one lock, and
+stored entries never change, so concurrent callers are safe.
 """
 
 from __future__ import annotations
@@ -395,16 +395,17 @@ class SeriesInZ:
 _GROWING = threading.RLock()
 
 
-def _entry(table: list, m: int, step: Callable[[list, int], object]):
-    # entry m of an append-only table whose entry j is step(table, j),
-    # computed from the entries below j.  Appends happen under one lock
-    # (reentrant: a step may grow another table), so no entry is ever
-    # stored at the wrong index; stored entries never change, so reading
-    # one needs no lock.
+def _entry(table: list, m: int, grow: Callable[[list], list]):
+    # entry m of an append-only table, extended by grow(table) until it
+    # holds m: grow returns the entries from len(table) on, computed from
+    # the entries below them.  Growth happens under one lock (reentrant:
+    # grow may grow another table), so no entry is ever stored at the
+    # wrong index; stored entries never change, so reading one needs no
+    # lock.
     if m >= len(table):
         with _GROWING:
             while len(table) <= m:
-                table.append(step(table, len(table)))
+                table.extend(grow(table))
     return table[m]
 
 
@@ -432,7 +433,7 @@ def stirling_poly(n: int) -> BivariatePoly:
     if n < 0:
         raise ValueError("need n >= 0")
     return _entry(
-        _A, n, lambda A, m: A[m - 1] * (BivariatePoly.x() + BivariatePoly.constant(m - 1))
+        _A, n, lambda A: [A[-1] * (BivariatePoly.x() + BivariatePoly.constant(len(A) - 1))]
     )
 
 
@@ -444,24 +445,25 @@ def stirling_number(n: int, k: int) -> int:
 
 
 def _factorial(m: int) -> int:
-    return _entry(_FACTORIALS, m, lambda f, j: f[j - 1] * j)
+    return _entry(_FACTORIALS, m, lambda f: [f[-1] * len(f)])
 
 
 def _double_factorial(m: int) -> int:
-    return _entry(_DOUBLE_FACTORIALS, m, lambda d, j: d[j - 1] * (2 * j - 1))
+    return _entry(_DOUBLE_FACTORIALS, m, lambda d: [d[-1] * (2 * len(d) - 1)])
 
 
-def _c_count_step(c: list, m: int) -> int:
-    # two recurrences, checked against each other at every size m >= 2:
+def _c_count_step(c: list) -> list:
+    # c_m for m = len(c), by two recurrences checked against each other:
     #   c_m = m! - sum_{p<m} c_p (m-p)!
     #   c_m = sum_{p<m} p c_p (m-1-p)!
+    m = len(c)
     _factorial(m)
     f = _FACTORIALS
     by_subtraction = f[m] - sum(c[p] * f[m - p] for p in range(1, m))
     by_weighting = sum(p * c[p] * f[m - 1 - p] for p in range(1, m))
     if by_subtraction != by_weighting:
         raise InternalMismatch(f"c_{m}: {by_subtraction} != {by_weighting}")
-    return by_subtraction
+    return [by_subtraction]
 
 
 def c_count(n: int) -> int:
@@ -483,11 +485,13 @@ def c_count_by_cycles(n: int, k: int) -> int:
     return c_poly(n).coefficient(k, 0)
 
 
-def _c_poly_step(C: list, n: int) -> BivariatePoly:
-    # both recurrences on packed A and C, so each product is one int
-    # product.  Every product and partial sum has nonnegative coefficients
-    # at most those of A_n, whose sum is n!, so no slot carries; C_n >= 0,
-    # so the subtraction borrows from no slot when the recurrences agree.
+def _c_poly_step(C: list) -> list:
+    # C_n for n = len(C), by both recurrences on packed A and C, so each
+    # product is one int product.  Every product and partial sum has
+    # nonnegative coefficients at most those of A_n, whose sum is n!, so no
+    # slot carries; C_n >= 0, so the subtraction borrows from no slot when
+    # the recurrences agree.
+    n = len(C)
     stirling_poly(n)
     pack = _Packing(_factorial(n), 1)
     A = [pack.pack(a) for a in _A[: n + 1]]
@@ -496,7 +500,7 @@ def _c_poly_step(C: list, n: int) -> BivariatePoly:
     by_weighting = sum(p * A[n - 1 - p] * Cp[p] for p in range(1, n))
     if by_subtraction != by_weighting:
         raise InternalMismatch(f"C_{n} recurrences disagree")
-    return pack.unpack(by_weighting, n)
+    return [pack.unpack(by_weighting, n)]
 
 
 def c_poly(n: int) -> BivariatePoly:
@@ -511,11 +515,12 @@ def c_poly(n: int) -> BivariatePoly:
     return _entry(_C, n, _c_poly_step)
 
 
-def _i_count_step(i: list, m: int) -> int:
-    # i_m = (2m-1)!! - sum_{p<m} i_p (2m-2p-1)!!
+def _i_count_step(i: list) -> list:
+    # i_m for m = len(i): i_m = (2m-1)!! - sum_{p<m} i_p (2m-2p-1)!!
+    m = len(i)
     _double_factorial(m)
     d = _DOUBLE_FACTORIALS
-    return d[m] - sum(i[p] * d[m - p] for p in range(1, m))
+    return [d[m] - sum(i[p] * d[m - p] for p in range(1, m))]
 
 
 def i_count(m: int) -> int:
@@ -546,16 +551,16 @@ def _path_packing(N: int, rule) -> _Packing:
     return _Packing(_factorial(N) if rule else _double_factorial(N), N + 1, rule)
 
 
-def _walk(N: int, rule, floor: int, skip: range = range(0)) -> list:
-    # [P_0, ..., P_N], None at the sizes in skip: P_n sums the path
-    # weights under rule over the Dyck words of length 2n that stay at
-    # height >= floor before their last step (floor 1: the primitive
-    # words).  Words that reach the same (height, last step) state share
-    # every later step weight, so the walk keeps one packed sum per state
-    # (Flajolet 1980): up[h] over the prefixes at height h that end in a,
-    # down[h] over the others.  A state is kept only while it can return
-    # to height 0 by step 2N, so each prefix starts some word of size
-    # <= N and its coefficients stay within the packing's bound.
+def _walk(N: int, rule, floor: int) -> list:
+    # [P_0, ..., P_N]: P_n sums the path weights under rule over the Dyck
+    # words of length 2n that stay at height >= floor before their last
+    # step (floor 1: the primitive words).  Words that reach the same
+    # (height, last step) state share every later step weight, so the
+    # walk keeps one packed sum per state (Flajolet 1980): up[h] over the
+    # prefixes at height h that end in a, down[h] over the others.  A
+    # state is kept only while it can return to height 0 by step 2N, so
+    # each prefix starts some word of size <= N and its coefficients stay
+    # within the packing's bound.
     pack = _path_packing(N, rule)
     b_step = pack.b_step
     up, down = [0] * (N + 2), [0] * (N + 2)
@@ -579,7 +584,7 @@ def _walk(N: int, rule, floor: int, skip: range = range(0)) -> list:
         up, down = next_up, next_down
         if not floor and i % 2:
             sums[(i + 1) // 2] = down[0]
-    return [None if n in skip else pack.unpack(v, n) for n, v in enumerate(sums)]
+    return [pack.unpack(v, n) for n, v in enumerate(sums)]
 
 
 def _path_weight(word: str, rule) -> BivariatePoly:
@@ -628,9 +633,8 @@ def _walk_pair(name: str, size: str, rule, first: int, N: int) -> tuple[list, li
     # exactly against the first-return recurrences
     #   P'_1 = the weight of ab,   P'_n = y * P_{n-1}(x, y+1)   (n >= 2)
     #   P_n  = sum_{p=1}^{n} P'_p P_{n-p},   P_0 = 1
-    # which read every smaller size; the stored sizes above it are skipped
-    stored = range(_RECURRENCE_LIMIT + 1, first)
-    total, prim = _walk(N, rule, 0, stored), _walk(N, rule, 1, stored)
+    # which read every smaller size
+    total, prim = _walk(N, rule, 0), _walk(N, rule, 1)
     for n in range(first, min(N, _RECURRENCE_LIMIT) + 1):
         if n == 1:
             expected = BivariatePoly.monomial(*rule[1]) if rule else BivariatePoly.y()
@@ -643,6 +647,7 @@ def _walk_pair(name: str, size: str, rule, first: int, N: int) -> tuple[list, li
     return total, prim
 
 
+# each entry builder walks to size N and returns the entries for sizes first..N, checked
 def _L_entries(first: int, N: int) -> list:
     L, Lp = _walk_pair("L", "n", _L_RULE, first, N)
     for n in range(first, N + 1):
@@ -661,7 +666,7 @@ def _M_entries(first: int, N: int) -> list:
 
 
 def _joint_entries(first: int, N: int) -> list:
-    J = _walk(N, _JOINT_RULE, 0, range(_RECURRENCE_LIMIT + 1, first))
+    J = _walk(N, _JOINT_RULE, 0)
     limit = min(N, _RECURRENCE_LIMIT)
     blocks = [None, BivariatePoly.monomial(1, 1)] + [L_family(p)[1] for p in range(2, limit + 1)]
     for n in range(first, N + 1):
@@ -677,16 +682,6 @@ _M = [None]  # (M_m, M'_m)
 _JOINT = [None]  # joint_n
 
 
-def _walked(table: list, n: int, entries: Callable[[int, int], list]):
-    # entry n of a path-family table; entries(first, N) walks to size N
-    # and returns the entries for sizes first..N, checked
-    if n >= len(table):
-        with _GROWING:
-            if n >= len(table):
-                table.extend(entries(len(table), n))
-    return table[n]
-
-
 def L_family(n: int) -> tuple[BivariatePoly, BivariatePoly]:
     """(L_n, L'_n): the sums of L_of_path over all / primitive Dyck words
     of length 2n, from one walk over (height, last step) states.  For
@@ -699,7 +694,7 @@ def L_family(n: int) -> tuple[BivariatePoly, BivariatePoly]:
     n >= 2, the x/y symmetry of L'_n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return _walked(_L, n, _L_entries)
+    return _entry(_L, n, lambda t: _L_entries(len(t), n))
 
 
 def M_family(m: int) -> tuple[BivariatePoly, BivariatePoly]:
@@ -713,7 +708,7 @@ def M_family(m: int) -> tuple[BivariatePoly, BivariatePoly]:
     and at every m against M_m(1) = (2m-1)!! and M'_m(1) = i_m."""
     if m < 1:
         raise ValueError("need m >= 1")
-    return _walked(_M, m, _M_entries)
+    return _entry(_M, m, lambda t: _M_entries(len(t), m))
 
 
 def joint_perm_poly(n: int) -> BivariatePoly:
@@ -728,7 +723,7 @@ def joint_perm_poly(n: int) -> BivariatePoly:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return _walked(_JOINT, n, _joint_entries)
+    return _entry(_JOINT, n, lambda t: _joint_entries(len(t), n))
 
 
 def transitive_probability(n: int) -> Fraction:

@@ -397,11 +397,12 @@ def _check_labeling_counts(ctx: dict) -> Iterator[dict]:
 
 
 def _coefficients(n: int, poly: BivariatePoly, joint: dict) -> Iterator[dict]:
-    # each (cycles, maxima) coefficient of poly against the exhaustive count
-    for (p_cyc, q_max), cnt in sorted(joint.items()):
-        if poly.coefficient(p_cyc, q_max) != cnt:
-            yield {"n": n, "cycles": p_cyc, "maxima": q_max,
-                   "poly": poly.coefficient(p_cyc, q_max), "exhaustive": cnt}
+    # each (cycles, maxima) coefficient of poly against the exhaustive
+    # count, over the monomials of either side
+    for p_cyc, q_max in sorted(joint.keys() | {(px, py) for px, py, _ in poly.terms()}):
+        got, cnt = poly.coefficient(p_cyc, q_max), joint.get((p_cyc, q_max), 0)
+        if got != cnt:
+            yield {"n": n, "cycles": p_cyc, "maxima": q_max, "poly": got, "exhaustive": cnt}
 
 
 def _check_path_polynomials(ctx: dict) -> Iterator[dict]:
@@ -410,8 +411,6 @@ def _check_path_polynomials(ctx: dict) -> Iterator[dict]:
         Lp = L_family(n)[1]
         joint = ctx["tables"](n).project(("cycles", "lr_maxima"), indecomposable_only=True)
         yield from _coefficients(n, Lp, joint)
-        if sum(joint.values()) != Lp.evaluate(1, 1):
-            yield {"n": n, "reason": "primitive total"}
 
 
 def _check_joint_polynomial(ctx: dict) -> Iterator[dict]:

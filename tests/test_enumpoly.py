@@ -421,8 +421,25 @@ def test_walk_matches_the_recurrences_up_to_30():
 
 @pytest.fixture
 def fresh_path_families(monkeypatch):
-    for name, seeds in _PATH_TABLES.items():
-        monkeypatch.setattr(enumpoly, name, getattr(enumpoly, name)[:seeds])
+    """The path-family tables cut back to their seeds for one test;
+    calling the fixture's value cuts them back again."""
+    def reset():
+        for name, seeds in _PATH_TABLES.items():
+            monkeypatch.setattr(enumpoly, name, getattr(enumpoly, name)[:seeds])
+    reset()
+    return reset
+
+
+def test_walks_past_stored_sizes_above_10_match_one_walk(fresh_path_families):
+    # growing a table that already holds sizes above the recurrence limit
+    # walks again from size 1 and keeps only the new sizes
+    for n in (12, 20, 30):
+        L_family(n), M_family(n), joint_perm_poly(n)
+    grown = {name: getattr(enumpoly, name) for name in _PATH_TABLES}
+    assert [len(table) for table in grown.values()] == [31] * 3
+    fresh_path_families()
+    L_family(30), M_family(30), joint_perm_poly(30)
+    assert {name: getattr(enumpoly, name) for name in _PATH_TABLES} == grown
 
 
 def test_path_sum_check_catches_a_wrong_recurrence(monkeypatch, fresh_path_families):

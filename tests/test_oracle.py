@@ -3,7 +3,7 @@ import math
 import pytest
 
 from permaps import oracle
-from permaps.dyck import count_labelings, delta_inverse
+from permaps.dyck import count_labelings, delta_inverse, is_primitive
 from permaps.enumpoly import (
     BivariatePoly,
     L_family,
@@ -298,6 +298,13 @@ def _joint_plus_xy_at_3(n):
     return J + BivariatePoly.monomial(1, 1) if n == 3 else J
 
 
+def _joint_plus_x3y_at_3(n):
+    # a monomial that no permutation of S_3 has: 3 cycles make it the
+    # identity, which has 3 maxima
+    J = joint_perm_poly(n)
+    return J + BivariatePoly.monomial(3, 1) if n == 3 else J
+
+
 def _y_times_z(order):
     # a nonzero residual: the series y*z
     return SeriesInZ([BivariatePoly.zero(), BivariatePoly.y()], order)
@@ -328,6 +335,14 @@ def _y_times_z(order):
          {"n": 3, "cycles": 1, "maxima": 1, "poly": 2, "exhaustive": 1}),
         ("arques_beraud_check", _y_times_z, "map-functional-equation",
          {"order": 1, "coefficient": "y"}),
+        ("joint_perm_poly", _joint_plus_x3y_at_3, "joint-polynomial",
+         {"n": 3, "cycles": 3, "maxima": 1, "poly": 1, "exhaustive": 0}),
+        ("is_primitive", lambda w: not is_primitive(w), "path-round-trip",
+         {"n": 1, "perm": "1", "reason": "primitivity"}),
+        ("is_fpf_involution", lambda p: False, "map-round-trip",
+         {"size": 4, "theta": "3,4,1,2", "reason": "not a pairing"}),
+        ("satisfies_lemma1", lambda h: False, "interval-split-round-trip",
+         {"size": 2, "theta": "2,1", "reason": "not canonical"}),
     ],
 )
 def test_edited_checks_still_fail(monkeypatch, name, broken, check, witness):
