@@ -557,33 +557,29 @@ def _walk(N: int, rule, floor: int) -> list:
     # step (floor 1: the primitive words).  Words that reach the same
     # (height, last step) state share every later step weight, so the
     # walk keeps one packed sum per state (Flajolet 1980): up[h] over the
-    # prefixes at height h that end in a, down[h] over the others.  A
-    # state is kept only while it can return to height 0 by step 2N, so
-    # each prefix starts some word of size <= N and its coefficients stay
-    # within the packing's bound.
+    # prefixes at height h that end in a, down[h] over the others.  Each
+    # walk starts at the empty word and reads P_n off down[0] after step
+    # 2n; the primitive walk then clears down[0], as its words end at
+    # their first return to height 0.  Every state read can still return
+    # to height 0 by step 2N, so it starts a word of size <= N and its
+    # coefficients stay within the packing's bound.
     pack = _path_packing(N, rule)
     b_step = pack.b_step
     up, down = [0] * (N + 2), [0] * (N + 2)
     sums = [0] * (N + 1)
-    if floor:
-        up[1], start = 1, 1  # a primitive word opens with a
-    else:
-        down[0] = sums[0] = 1  # the empty word
-        start = 0
-    for i in range(start, 2 * N):  # i steps taken
-        rise = 2 * N - i - 2  # the highest height an a step may leave
+    down[0], sums[0] = 1, 1 - floor  # the empty word
+    for i in range(2 * N):  # i steps taken
         next_up, next_down = [0] * (N + 2), [0] * (N + 2)
         for h in range(i % 2, min(i, 2 * N - i) + 1, 2):
             a, b = up[h], down[h]
-            if h <= rise:
-                next_up[h + 1] = a + b
-            if h > floor:
+            next_up[h + 1] = a + b
+            if h:
                 next_down[h - 1] = b_step(a, h - 1, True) + b_step(b, h - 1, False)
-            elif h:  # floor 1, height 1: the primitive word of size (i+1)/2 closes
-                sums[(i + 1) // 2] = b_step(a, 0, True) + b_step(b, 0, False)
         up, down = next_up, next_down
-        if not floor and i % 2:
+        if i % 2:
             sums[(i + 1) // 2] = down[0]
+            if floor:
+                down[0] = 0
     return [pack.unpack(v, n) for n, v in enumerate(sums)]
 
 

@@ -393,10 +393,20 @@ def test_M_family_specializations():
 
 
 @pytest.mark.parametrize(
-    "rule, of_path", [(enumpoly._L_RULE, L_of_path), (enumpoly._M_RULE, M_of_path)], ids=["L", "M"]
+    "rule, of_path",
+    [
+        (enumpoly._L_RULE, L_of_path),
+        (enumpoly._M_RULE, M_of_path),
+        # a peak landing at height 0 weighs x*y
+        (enumpoly._JOINT_RULE, lambda w: enumpoly._path_weight(w, enumpoly._JOINT_RULE)),
+    ],
+    ids=["L", "M", "joint"],
 )
 def test_state_merged_path_sum_matches_per_word_sum(rule, of_path):
     every_size, primitive_size = _walk(8, rule, 0), _walk(8, rule, 1)
+    # the empty word counts once among all words and is not primitive
+    assert every_size[0] == BivariatePoly.constant(1)
+    assert primitive_size[0] == BivariatePoly.zero()
     for n in range(1, 9):
         words = list(enum_dyck_paths(n))
         every = sum((of_path(w) for w in words), BivariatePoly.zero())

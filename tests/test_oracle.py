@@ -15,8 +15,8 @@ from permaps.enumpoly import (
     transitive_probability,
 )
 from permaps.errors import LimitExceeded
-from permaps.hypermap import psi_inverse
-from permaps.maps import psi_prime_inverse
+from permaps.hypermap import canonical_rooted_form, psi_inverse
+from permaps.maps import RootedMap, psi_prime, psi_prime_inverse
 from permaps.oracle import (
     FAULTS,
     count_transitive_pairs,
@@ -26,7 +26,12 @@ from permaps.oracle import (
     joint_distribution,
     verify_suite,
 )
-from permaps.perm import Permutation, fundamental_transform_inverse
+from permaps.perm import (
+    Permutation,
+    fundamental_transform,
+    fundamental_transform_inverse,
+    identity,
+)
 from records import check_record
 from reference import reference_enum_fpf_involutions
 
@@ -293,6 +298,11 @@ def _plus_xy_at_3(n):
     return L, (Lp + BivariatePoly.monomial(1, 1) if n == 3 else Lp)
 
 
+def _reversed_labels(pair):
+    # a broken canonical_rooted_form: its relabeling sends i to n + 1 - i
+    return canonical_rooted_form(pair)[0], Permutation(tuple(range(pair.n, 0, -1)))
+
+
 def _joint_plus_xy_at_3(n):
     J = joint_perm_poly(n)
     return J + BivariatePoly.monomial(1, 1) if n == 3 else J
@@ -343,6 +353,13 @@ def _y_times_z(order):
          {"size": 4, "theta": "3,4,1,2", "reason": "not a pairing"}),
         ("satisfies_lemma1", lambda h: False, "interval-split-round-trip",
          {"size": 2, "theta": "2,1", "reason": "not canonical"}),
+        ("phi_bijection", fundamental_transform, "statistic-swap-involution",
+         {"n": 3, "perm": "2,3,1", "reason": "not involutive"}),
+        # not transitive at size 6 either, but the check stops at size 4
+        ("psi_prime", lambda t: RootedMap(identity(t.n - 2), psi_prime(t).alpha), "map-round-trip",
+         {"size": 4, "theta": "4,3,2,1", "reason": "vertex count"}),
+        ("canonical_rooted_form", _reversed_labels, "hypermap-census",
+         {"n": 2, "sigma": "1,2", "alpha": "2,1", "reason": "relabeling moves the root"}),
     ],
 )
 def test_edited_checks_still_fail(monkeypatch, name, broken, check, witness):

@@ -1,5 +1,7 @@
 """Smoke tests of the comparison tools that the parity claims rest on."""
 
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,16 +20,19 @@ def _side_by_side(*args) -> subprocess.CompletedProcess:
 
 
 def test_side_by_side_times_equal_outputs():
-    # a permutation, a Hypermap and a VerifyReport of CheckResults: each
-    # side's records are its own classes, so they compare by their fields
+    # a permutation, a Hypermap, a VerifyReport of CheckResults, a pair of
+    # polynomials and a series in z: each side's values are its own
+    # classes, so they compare by their fields or terms
     result = _side_by_side(
         "hypermap.psi_inverse(hypermap.psi(perm.Permutation((2, 3, 1))))",
         "hypermap.psi(perm.Permutation((2, 3, 1)))",
         "oracle.verify_suite(2, 2, 4)",
+        "enumpoly.L_family(3)",
+        "enumpoly.arques_beraud_check(2)",
     )
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == 3 and all("b/a min" in line for line in lines)
+    assert len(lines) == 5 and all("b/a min" in line for line in lines)
 
 
 def test_side_by_side_times_cold_commands():
@@ -35,6 +40,23 @@ def test_side_by_side_times_cold_commands():
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("permaps count indecomposable --n 3: a median ")
     assert result.stdout.endswith(" | b won 0/1\n") or result.stdout.endswith(" | b won 1/1\n")
+
+
+def test_side_by_side_cold_keeps_bytecode_out_of_the_trees(tmp_path):
+    # with bytecode writes on, every cold run still caches outside the tree
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "side_by_side.py"), str(src), str(src),
+         "--rounds", "2", "--cold", "count", "indecomposable", "--n", "3"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert not list(src.rglob("__pycache__"))
 
 
 def test_side_by_side_stops_on_differing_outputs():

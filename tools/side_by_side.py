@@ -6,9 +6,10 @@ evaluated in a namespace holding the package as ``pm`` and each of its
 submodules by name, after ``--setup`` has run there.  Rounds alternate
 which side goes first; each sample times one evaluation, so batch many
 calls inside the expression.  The outputs of the two sides must be
-equal once every object with ``.images`` is read as its images, and
-every other record (a class with ``__match_args__``, dataclass or not)
-as its fields.  Example (see also the README):
+equal once every object with ``.images`` is read as its images, every
+polynomial as its ``terms()``, every series in z as its coefficients'
+terms, and every other record (a class with ``__match_args__``,
+dataclass or not) as its fields.  Example (see also the README):
 
     python tools/side_by_side.py PARENT/src src --setup "p = perm.identity(64)" \\
         "hypermap.phi_bijection(p)" "oracle.verify_suite(5, 3, 6)"
@@ -16,9 +17,12 @@ as its fields.  Example (see also the README):
 ``--cold ARGV...`` (the last option) times ``python -m permaps ARGV``
 instead, each run in a fresh interpreter with that side's ``src`` first
 on PYTHONPATH, and prints each side's median and quartiles and the
-rounds that side b won.  Exit code and stdout must be equal.  To count
-compiling the sources, as a fresh checkout does, run it on trees
-without ``__pycache__`` and with PYTHONDONTWRITEBYTECODE=1:
+rounds that side b won.  Exit code and stdout must be equal.  Each
+side's interpreters share a fresh PYTHONPYCACHEPREFIX of their own, so
+no run reads the bytecode cache inside either tree, stale or not; an
+untimed first run caches the standard library there.  With
+PYTHONDONTWRITEBYTECODE=1 every timed run compiles the tree's sources,
+as a fresh checkout does:
 
     PYTHONDONTWRITEBYTECODE=1 python tools/side_by_side.py PARENT/src src \\
         --rounds 20 --cold verify --max-n 5 --pair-max-n 4 --fpf-max-size 8
@@ -29,9 +33,11 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -51,9 +57,14 @@ def load(src: str, name: str) -> dict:
 
 
 def plain(x):
-    """x with permutations read as images and other records as field tuples."""
+    """x with permutations read as images, polynomials and series in z as
+    their terms, and other records as field tuples."""
     if hasattr(x, "images"):
         return x.images
+    if hasattr(x, "terms"):
+        return x.terms()
+    if hasattr(x, "coefficient"):
+        return tuple(x.coefficient(m).terms() for m in range(x.order + 1))
     if hasattr(type(x), "__match_args__"):
         return tuple(plain(getattr(x, name)) for name in type(x).__match_args__)
     if isinstance(x, (list, tuple)):
@@ -69,23 +80,31 @@ def _quartiles(samples: list[float]) -> list[float]:
 
 def cold(srcs: list[str], argv: list[str], rounds: int) -> None:
     """Time ``python -m permaps ARGV`` from each tree in fresh interpreters."""
-    def run(src: str) -> tuple[float, tuple]:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    def run(s: int, **extra: str) -> tuple[float, tuple]:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=caches[s], **extra)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [srcs[s], env.get("PYTHONPATH")]))
         t0 = time.perf_counter()
         done = subprocess.run([sys.executable, "-m", "permaps", *argv], env=env,
                               capture_output=True, text=True)
         return time.perf_counter() - t0, (done.returncode, done.stdout)
 
     samples: list[list[float]] = [[], []]
-    for r in range(rounds):
-        outputs = []
-        for s in (0, 1) if r % 2 == 0 else (1, 0):
-            seconds, output = run(srcs[s])
-            samples[s].append(seconds)
-            outputs.append(output)
-        if outputs[0] != outputs[1]:
-            raise SystemExit(f"outputs differ for permaps {' '.join(argv)}")
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        caches = (a, b)
+        for s in (0, 1):
+            # one untimed run caches what the command imports; dropping the
+            # tree's share leaves the standard library cached, which would
+            # otherwise compile on every run under PYTHONDONTWRITEBYTECODE=1
+            run(s, PYTHONDONTWRITEBYTECODE="")
+            shutil.rmtree(os.path.join(caches[s], os.path.abspath(srcs[s]).lstrip(os.sep)))
+        for r in range(rounds):
+            outputs = []
+            for s in (0, 1) if r % 2 == 0 else (1, 0):
+                seconds, output = run(s)
+                samples[s].append(seconds)
+                outputs.append(output)
+            if outputs[0] != outputs[1]:
+                raise SystemExit(f"outputs differ for permaps {' '.join(argv)}")
     (a_med, b_med), (a_q, b_q) = ([f(s) for s in samples] for f in (statistics.median, _quartiles))
     wins = sum(b < a for a, b in zip(*samples))
     print(f"permaps {' '.join(argv)}: a median {a_med * 1e3:.1f} ms [{a_q[0] * 1e3:.1f}, "
