@@ -18,11 +18,11 @@ and the two families over labeled Dyck paths
                           pairings, y+height on every down step
                           (rooted maps with m edges by vertices).
 
-c_n and C_n are each produced by two independent recurrences that are
-cross-checked at every size (InternalMismatch on disagreement).  i_m
-has one recurrence; verify's map-counts check compares it with an
-exhaustive count of indecomposable fixed-point-free involutions, and
-M'_m(1) = i_m ties it to the M family.
+c_n, C_n and i_m, the indecomposable parts 1 - 1/A of m!, A_m and
+(2m-1)!!, are each produced by two independent recurrences that are
+cross-checked at every size (InternalMismatch on disagreement).  verify
+also compares i_m with an exhaustive count of indecomposable
+fixed-point-free involutions, and M'_m(1) = i_m ties it to the M family.
 
 The path families and joint_n come from one walk per family over
 (height, last step) states of Dyck paths, which sums the path weights
@@ -321,6 +321,8 @@ class SeriesInZ:
         return cls([poly], order)
 
     def coefficient(self, m: int) -> BivariatePoly:
+        if not 0 <= m <= self.order:
+            raise ValueError(f"need 0 <= m <= {self.order}, got {m}")
         return self._coeffs[m]
 
     @property
@@ -366,6 +368,8 @@ class SeriesInZ:
 
     def shift_z(self, k: int) -> "SeriesInZ":
         """Multiply by z^k, truncating at the fixed order."""
+        if k < 0:
+            raise ValueError(f"need k >= 0, got {k}")
         return SeriesInZ([BivariatePoly.zero()] * k + list(self._coeffs), self.order)
 
     def map_coeffs(self, f: Callable[[BivariatePoly], BivariatePoly]) -> "SeriesInZ":
@@ -414,7 +418,7 @@ _DOUBLE_FACTORIALS = [1]  # (2m-1)!!
 _A = [BivariatePoly.constant(1)]  # A_m(x)
 _C = [BivariatePoly.zero(), BivariatePoly.x()]  # C_m(x); C_0 = 0
 _C_COUNTS = [0, 1]  # c_m; c_0 = 0
-_I_COUNTS = [0]  # i_m; i_0 = 0
+_I_COUNTS = [0, 1]  # i_m; i_0 = 0
 
 
 # --- scalar sequences -----------------------------------------------------------
@@ -452,18 +456,22 @@ def _double_factorial(m: int) -> int:
     return _entry(_DOUBLE_FACTORIALS, m, lambda d: [d[-1] * (2 * len(d) - 1)])
 
 
-def _c_count_step(c: list) -> list:
-    # c_m for m = len(c), by two recurrences checked against each other:
-    #   c_m = m! - sum_{p<m} c_p (m-p)!
-    #   c_m = sum_{p<m} p c_p (m-1-p)!
-    m = len(c)
-    _factorial(m)
-    f = _FACTORIALS
-    by_subtraction = f[m] - sum(c[p] * f[m - p] for p in range(1, m))
-    by_weighting = sum(p * c[p] * f[m - 1 - p] for p in range(1, m))
+def _indecomposable(A: list, U: list, w: int, message: str):
+    # U_n for n = len(U) >= 2, where A = 1/(1 - U) in z and A - 1 =
+    # A_1 z A + w z^2 A' (Comtet 1974), by two recurrences checked against
+    # each other (a mismatch raises message.format(both, n=n)):
+    #   U_n = A_n - sum_{p<n} A_{n-p} U_p  =  w sum_{p<n} p U_p A_{n-1-p}
+    n = len(U)
+    by_subtraction = A[n] - sum(A[n - p] * U[p] for p in range(1, n))
+    by_weighting = w * sum(p * U[p] * A[n - 1 - p] for p in range(1, n))
     if by_subtraction != by_weighting:
-        raise InternalMismatch(f"c_{m}: {by_subtraction} != {by_weighting}")
-    return [by_subtraction]
+        raise InternalMismatch(message.format(by_subtraction, by_weighting, n=n))
+    return by_subtraction
+
+
+def _c_count_step(c: list) -> list:
+    _factorial(len(c))
+    return [_indecomposable(_FACTORIALS, c, 1, "c_{n}: {0} != {1}")]
 
 
 def c_count(n: int) -> int:
@@ -486,21 +494,16 @@ def c_count_by_cycles(n: int, k: int) -> int:
 
 
 def _c_poly_step(C: list) -> list:
-    # C_n for n = len(C), by both recurrences on packed A and C, so each
-    # product is one int product.  Every product and partial sum has
-    # nonnegative coefficients at most those of A_n, whose sum is n!, so no
-    # slot carries; C_n >= 0, so the subtraction borrows from no slot when
-    # the recurrences agree.
+    # C_n for n = len(C), on packed A and C: each product is one int
+    # product.  Every product and partial sum has nonnegative coefficients
+    # at most those of A_n, whose sum is n!, so no slot carries; C_n >= 0,
+    # so the subtraction borrows from no slot when the recurrences agree.
     n = len(C)
     stirling_poly(n)
     pack = _Packing(_factorial(n), 1)
     A = [pack.pack(a) for a in _A[: n + 1]]
     Cp = [pack.pack(c) for c in C]
-    by_subtraction = A[n] - sum(A[n - p] * Cp[p] for p in range(1, n))
-    by_weighting = sum(p * A[n - 1 - p] * Cp[p] for p in range(1, n))
-    if by_subtraction != by_weighting:
-        raise InternalMismatch(f"C_{n} recurrences disagree")
-    return [pack.unpack(by_weighting, n)]
+    return [pack.unpack(_indecomposable(A, Cp, 1, "C_{n} recurrences disagree"), n)]
 
 
 def c_poly(n: int) -> BivariatePoly:
@@ -516,11 +519,8 @@ def c_poly(n: int) -> BivariatePoly:
 
 
 def _i_count_step(i: list) -> list:
-    # i_m for m = len(i): i_m = (2m-1)!! - sum_{p<m} i_p (2m-2p-1)!!
-    m = len(i)
-    _double_factorial(m)
-    d = _DOUBLE_FACTORIALS
-    return [d[m] - sum(i[p] * d[m - p] for p in range(1, m))]
+    _double_factorial(len(i))
+    return [_indecomposable(_DOUBLE_FACTORIALS, i, 2, "i_{n}: {0} != {1}")]
 
 
 def i_count(m: int) -> int:

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from permaps import enumpoly
 from permaps.cli import dispatch
+from permaps.enumpoly import BivariatePoly
 
 
 @pytest.fixture()
@@ -137,6 +139,36 @@ def test_domain_errors_exit_1(run):
     assert run("table", "joint", "--max-n", "65")[0] == 1
     assert run("count", "indecomposable", "--n", "0")[0] == 1
     assert run("verify", "--max-n", "9")[0] == 1
+
+
+# a one-unit fault in entry 12 of each table that only the subtraction
+# recurrence of the shared indecomposable step reads
+_SUBTRACTION_FAULTS = {
+    "_FACTORIALS": (enumpoly._factorial, 1),
+    "_A": (enumpoly.stirling_poly, BivariatePoly.x()),
+    "_DOUBLE_FACTORIALS": (enumpoly._double_factorial, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "table, argv, message",
+    [
+        ("_FACTORIALS", "count indecomposable --n 12", "c_12: 392743958 != 392743957"),
+        ("_FACTORIALS", "count hypermaps --n 11", "c_12: 392743958 != 392743957"),
+        ("_FACTORIALS", "prob transitive --n 11", "c_12: 392743958 != 392743957"),
+        ("_A", "poly C --n 12", "C_12 recurrences disagree"),
+        ("_A", "count stirling-indec --n 12 --k 3", "C_12 recurrences disagree"),
+        ("_A", "table stirling-indec --max-n 12", "C_12 recurrences disagree"),
+        ("_DOUBLE_FACTORIALS", "count maps --m 11", "i_12: 285764591115 != 285764591114"),
+    ],
+)
+def test_second_derivation_catches_a_fault_in_the_first(run, fresh_tables, table, argv, message):
+    # the command fails on the second derivation instead of printing a wrong number
+    grow, unit = _SUBTRACTION_FAULTS[table]
+    grow(12)
+    entries = getattr(enumpoly, table)  # fresh_tables' copy, restored after the test
+    entries[12] = entries[12] + unit
+    assert run(*argv.split()) == (1, "", f"error: {message}\n")
 
 
 def test_usage_errors_exit_2(run):

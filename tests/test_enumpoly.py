@@ -119,6 +119,10 @@ def test_series_arithmetic():
         SeriesInZ([one], 3).inverse_one_minus()
     with pytest.raises(ValueError):
         z + SeriesInZ([], 2)
+    # an index outside the series raises ValueError, not IndexError or a wrap
+    for bad in (lambda: z.coefficient(-1), lambda: z.coefficient(5), lambda: z.shift_z(-1)):
+        with pytest.raises(ValueError):
+            bad()
     # arithmetic takes series only: an int or a bool raises TypeError
     for bad in (lambda: z + 1, lambda: z - 1, lambda: z * 2, lambda: z * True):
         with pytest.raises(TypeError):
@@ -162,6 +166,17 @@ def test_c_count_direct_recurrences():
         assert c[n] == sum(
             p * c[p] * math.factorial(n - 1 - p) for p in range(1, n)
         )
+    # a third derivation, which the library does not compute: the quadratic
+    # (Riccati) form of the same generating functions, past the sizes above
+    #   c_n = (n-2) c_{n-1} + sum_{j<n} c_j c_{n-j}
+    #   C_n = (n-1-x) C_{n-1} + sum_{j<n} C_j C_{n-j}
+    c = [0] + [c_count(n) for n in range(1, 201)]
+    for n in range(2, 201):
+        assert c[n] == (n - 2) * c[n - 1] + sum(c[j] * c[n - j] for j in range(1, n))
+    C = [None] + [c_poly(n) for n in range(1, 31)]
+    for n in range(2, 31):
+        linear = (BivariatePoly.constant(n - 1) - BivariatePoly.x()) * C[n - 1]
+        assert C[n] == sum((C[j] * C[n - j] for j in range(1, n)), linear)
 
 
 def test_c_triangle():
@@ -205,34 +220,33 @@ def test_i_count():
         assert i_count(m) == double_factorial_odd(m) - sum(
             i_count(p) * double_factorial_odd(m - p) for p in range(1, m)
         )
+    # the quadratic (Riccati) form: i_m = (2m-3) i_{m-1} + sum_{j<m} i_j i_{m-j}
+    i = [0] + [i_count(m) for m in range(1, 201)]
+    for m in range(2, 201):
+        assert i[m] == (2 * m - 3) * i[m - 1] + sum(i[j] * i[m - j] for j in range(1, m))
 
 
-# the append-only tables, each with the number of seed entries it starts from
+# the path-family tables, each with the number of seed entries it starts from
 _PATH_TABLES = {"_L": 1, "_M": 1, "_JOINT": 1}
-_TABLES = {
-    "_FACTORIALS": 1, "_DOUBLE_FACTORIALS": 1, "_A": 1, "_C": 2, "_C_COUNTS": 2, "_I_COUNTS": 1,
-    **_PATH_TABLES,
-}
 
 
-@pytest.fixture
-def fresh_tables(monkeypatch):
-    """Counting tables cut back to their seeds for one test; calling the
-    fixture's value cuts them back again.  The module's own tables return
-    afterwards."""
-    def reset():
-        for name, seeds in _TABLES.items():
-            monkeypatch.setattr(enumpoly, name, getattr(enumpoly, name)[:seeds])
-    reset()
-    return reset
-
-
-def test_c_count_check_catches_a_wrong_factorial(monkeypatch, fresh_tables):
-    # 3! enters c_3 only through the subtraction recurrence
-    monkeypatch.setattr(enumpoly, "_FACTORIALS", [1, 1, 2, 7])
-    assert c_count(2) == 1
-    with pytest.raises(InternalMismatch, match=r"^c_3: 4 != 3$"):
-        c_count(3)
+@pytest.mark.parametrize(
+    "table, entries, count, second, message",
+    [
+        pytest.param("_FACTORIALS", [1, 1, 2, 7], c_count, 1, r"^c_3: 4 != 3$", id="c_count"),
+        pytest.param(
+            "_DOUBLE_FACTORIALS", [1, 1, 3, 16], i_count, 2, r"^i_3: 11 != 10$", id="i_count"
+        ),
+    ],
+)
+def test_c_count_check_catches_a_wrong_factorial(
+    monkeypatch, fresh_tables, table, entries, count, second, message
+):
+    # 3! (or 5!!) enters the size-3 count only through the subtraction recurrence
+    monkeypatch.setattr(enumpoly, table, entries)
+    assert count(2) == second
+    with pytest.raises(InternalMismatch, match=message):
+        count(3)
 
 
 def test_c_poly_check_catches_a_wrong_stirling_poly(monkeypatch, fresh_tables):
