@@ -10,14 +10,18 @@ generator that yields its counterexamples in enumeration order, and the
 suite's one runner takes the first, so a failure's witness is the
 lexicographically smallest counterexample and nothing after it runs;
 ``fault`` deliberately breaks one code path so the suite can
-demonstrate that it catches regressions.
+demonstrate that it catches regressions.  Forked processes share the
+checks out, one per CPU, and the report does not depend on how many.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import marshal
 import math
+import os
+import threading
 from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -486,6 +490,78 @@ _CHECKS: tuple[tuple[str, Callable[[dict], Iterator[dict]]], ...] = (
     ("map-functional-equation", _check_map_functional_equation),
 )
 
+# the checks by index in units of work, heaviest first at the defaults;
+# checks that share ctx state (the census's pair counts, the tables cache)
+# share a unit, and run in _CHECKS order there
+_UNITS = tuple(tuple(i for i, (name, _) in enumerate(_CHECKS) if name in unit) for unit in (
+    {"interval-split-round-trip"}, {"path-round-trip"},
+    {"hypermap-census", "transitive-probability"}, {"statistic-swap-involution"},
+    {"fundamental-transform"}, {"labeling-counts"},
+    {"indecomposable-count", "stirling-triangle", "path-polynomials", "joint-polynomial"},
+    {"map-round-trip"}, {"map-counts"}, {"map-functional-equation"},
+))
+
+
+def _workers() -> int:
+    # one process per CPU this one may use; this one alone where it cannot
+    # fork, or where another thread might hold a table lock across the fork
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(len(_UNITS), cpus)
+
+
+def _run_units(ctx: dict) -> dict[int, dict | None]:
+    # each check's first witness, by index: _workers() processes, this one
+    # too, claim units off one pipe, where a one-byte read is atomic
+    todo, fill = os.pipe()
+    os.write(fill, bytes(range(len(_UNITS))))
+    os.close(fill)
+    workers = _workers()
+    pin = workers > 1 and hasattr(os, "sched_setaffinity")
+    cpus = sorted(os.sched_getaffinity(0)) if pin else []
+
+    def claim(k):  # worker k, on a CPU of its own: Linux can leave a child on its parent's CPU
+        if cpus:
+            os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+        found = {}
+        while unit := os.read(todo, 1):
+            found.update((i, next(_CHECKS[i][1](ctx), None)) for i in _UNITS[unit[0]])
+        return found
+
+    reports = {}  # child pid -> the read end of its report pipe
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:  # the child: one report, then an exit that flushes no stdio
+                try:
+                    os.write(w, b"m" + marshal.dumps(claim(k)))
+                except BaseException as exc:
+                    import pickle
+                    os.write(w, b"p" + pickle.dumps(exc))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            reports[pid] = open(r, "rb")
+        found = claim(0)
+        for pid, pipe in reports.items():
+            report = pipe.read()
+            if not report:
+                raise RuntimeError(f"verify worker {pid} exited without a report")
+            if report[:1] == b"p":  # the exception the child raised
+                import pickle
+                raise pickle.loads(report[1:])
+            found.update(marshal.loads(report[1:]))
+        return found
+    finally:
+        os.close(todo)
+        for pid, pipe in reports.items():  # a child that has reported is only exiting
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+
 
 def verify_suite(
     max_n: int = 7,
@@ -524,8 +600,6 @@ def verify_suite(
         "tables": functools.cache(joint_distribution),
         "labeled_pairs": {},
     }
-    results = []
-    for name, check in _CHECKS:
-        witness = next(check(ctx), None)
-        results.append(CheckResult(name, "pass" if witness is None else "fail", witness))
-    return VerifyReport(results)
+    found = _run_units(ctx)
+    return VerifyReport([CheckResult(name, "pass" if found[i] is None else "fail", found[i])
+                         for i, (name, _) in enumerate(_CHECKS)])

@@ -74,7 +74,7 @@ class _Record:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._key(self) == self._key(other)
+            return (key := self._key)(self) == key(other)  # one attribute lookup
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 
 import pytest
 
@@ -14,7 +17,7 @@ from permaps.enumpoly import (
     joint_perm_poly,
     transitive_probability,
 )
-from permaps.errors import LimitExceeded
+from permaps.errors import InternalMismatch, LimitExceeded
 from permaps.hypermap import canonical_rooted_form, psi_inverse
 from permaps.maps import RootedMap, psi_prime, psi_prime_inverse
 from permaps.oracle import (
@@ -174,7 +177,9 @@ def test_verify_suite_fault_injection():
 @pytest.mark.parametrize("fault, scanned", [(None, []), ("skip-canonicalization", [3])])
 def test_transitive_probability_reuses_census_counts(monkeypatch, fault, scanned):
     # the probability check scans only the sizes the census did not finish
-    # (under the fault, the census stops at its n = 3 witness)
+    # (under the fault, the census stops at its n = 3 witness); one worker,
+    # since a forked worker's calls are not counted in this process
+    monkeypatch.setattr(oracle, "_workers", lambda: 1)
     calls = []
     real = oracle.count_transitive_pairs
 
@@ -252,7 +257,9 @@ def _counting(monkeypatch, calls, name):
 
 def test_verify_suite_examines_every_object(monkeypatch):
     # each check still visits all of its objects: the bijection or test
-    # each one runs, counted against the size of what it sweeps
+    # each one runs, counted against the size of what it sweeps, in this
+    # process alone
+    monkeypatch.setattr(oracle, "_workers", lambda: 1)
     names = ("psi", "delta", "fundamental_transform", "phi_bijection", "psi_prime",
              "canonical_rooted_form", "is_transitive")
     calls = dict.fromkeys(names, 0)
@@ -320,7 +327,7 @@ def _y_times_z(order):
     return SeriesInZ([BivariatePoly.zero(), BivariatePoly.y()], order)
 
 
-@pytest.mark.parametrize(
+_EDITS = pytest.mark.parametrize(
     "name, broken, check, witness",
     [
         ("psi_inverse", _rotated_on_3(psi_inverse), "interval-split-round-trip",
@@ -362,6 +369,9 @@ def _y_times_z(order):
          {"n": 2, "sigma": "1,2", "alpha": "2,1", "reason": "relabeling moves the root"}),
     ],
 )
+
+
+@_EDITS
 def test_edited_checks_still_fail(monkeypatch, name, broken, check, witness):
     # one broken library function fails exactly the check that reads it
     monkeypatch.setattr(oracle, name, broken)
@@ -376,3 +386,108 @@ def test_indecomposable_count_fails_on_a_wrong_c_n(monkeypatch):
     monkeypatch.setattr(oracle, "c_count", lambda n: c_count(n) + (n == 3))
     failed = {r.check: r.witness for r in verify_suite(4, 3, 6).results if r.status == "fail"}
     assert failed["indecomposable-count"] == {"n": 3, "exhaustive": 3, "formula": 4}
+
+
+@pytest.fixture
+def no_child_left():
+    """After the test: no verify worker is left running, and this process
+    may run on all of its CPUs again (the workers are pinned to one each)."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if cpus is not None:
+        assert os.sched_getaffinity(0) == cpus
+
+
+@pytest.mark.parametrize("fault", [None, "skip-canonicalization"])
+def test_forked_workers_give_the_one_worker_report(monkeypatch, no_child_left, fault):
+    # the report is the same whichever process ran which unit
+    for max_n in range(1, 5):
+        for pair_max_n in range(1, 4):
+            for fpf_max_size in (2, 4, 6):
+                sizes = (max_n, pair_max_n, fpf_max_size, fault)
+                monkeypatch.setattr(oracle, "_workers", lambda: 1)
+                serial = verify_suite(*sizes)
+                for workers in (2, 3):
+                    monkeypatch.setattr(oracle, "_workers", lambda: workers)
+                    report = verify_suite(*sizes)
+                    assert report == serial and report.to_text() == serial.to_text()
+
+
+@_EDITS
+def test_edited_checks_fail_alike_in_forked_workers(
+    monkeypatch, no_child_left, name, broken, check, witness
+):
+    monkeypatch.setattr(oracle, name, broken)
+    monkeypatch.setattr(oracle, "_workers", lambda: 2)
+    report = verify_suite(4, 3, 6)
+    assert [(r.check, r.witness) for r in report.results if r.status == "fail"] == [
+        (check, witness)
+    ]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_exception_in_a_forked_unit_reaches_the_caller(monkeypatch, no_child_left, workers):
+    # c_n raises in the children only; the caller's first call waits, so
+    # the children claim the other units that read c_n
+    caller, waited = os.getpid(), []
+
+    def wrong_c_count(n):
+        if os.getpid() != caller:
+            raise InternalMismatch("c_3: 4 != 3")
+        if not waited:
+            waited.append(time.sleep(0.2))
+        return c_count(n)
+
+    monkeypatch.setattr(oracle, "c_count", wrong_c_count)
+    monkeypatch.setattr(oracle, "_workers", lambda: workers)
+    with pytest.raises(InternalMismatch, match=r"^c_3: 4 != 3$"):
+        verify_suite(4, 3, 6)
+
+
+def test_exception_in_the_caller_stops_the_workers(monkeypatch, no_child_left):
+    # the caller raises at once while every child is still busy: verify
+    # returns without waiting for them, and leaves none running
+    caller = os.getpid()
+
+    def c_count_or_stall(n):
+        if os.getpid() == caller:
+            raise InternalMismatch("c_3: 4 != 3")
+        time.sleep(60)
+
+    monkeypatch.setattr(oracle, "c_count", c_count_or_stall)
+    monkeypatch.setattr(oracle, "_workers", lambda: 3)
+    start = time.perf_counter()
+    with pytest.raises(InternalMismatch, match=r"^c_3: 4 != 3$"):
+        verify_suite(4, 3, 6)
+    assert time.perf_counter() - start < 30
+
+
+def test_workers_follow_cpus_fork_and_threads(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert oracle._workers() == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert oracle._workers() == len(oracle._UNITS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert oracle._workers() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert oracle._workers() == 1  # a forked child would inherit the thread's locks
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and oracle._workers() == 2
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert oracle._workers() == 1
+
+
+def test_units_cover_every_check_once_in_report_order():
+    indices = [i for unit in oracle._UNITS for i in unit]
+    assert sorted(indices) == list(range(len(oracle._CHECKS)))
+    assert all(list(unit) == sorted(unit) for unit in oracle._UNITS)
+    names = [[oracle._CHECKS[i][0] for i in unit] for unit in oracle._UNITS]
+    assert ["hypermap-census", "transitive-probability"] in names
