@@ -9,9 +9,9 @@ the comparisons into a deterministic pass/fail report.  Each check is a
 generator that yields its counterexamples in enumeration order, and the
 suite's one runner takes the first, so a failure's witness is the
 lexicographically smallest counterexample and nothing after it runs;
-``fault`` deliberately breaks one code path so the suite can
-demonstrate that it catches regressions.  Forked processes share the
-checks out, one per CPU, and the report does not depend on how many.
+``fault`` deliberately breaks one code path so the suite can demonstrate
+that it catches regressions.  Forked processes share the checks, one per
+CPU; the caller runs what none reported, so any number gives one outcome.
 """
 
 from __future__ import annotations
@@ -473,33 +473,28 @@ def _check_map_functional_equation(ctx: dict) -> Iterator[dict]:
             yield {"order": m, "coefficient": residual.coefficient(m).to_string()}
 
 
-_CHECKS: tuple[tuple[str, Callable[[dict], Iterator[dict]]], ...] = (
-    ("indecomposable-count", _check_indecomposable_count),
-    ("stirling-triangle", _check_stirling_triangle),
-    ("fundamental-transform", _check_fundamental_transform),
-    ("interval-split-round-trip", _check_interval_split),
-    ("statistic-swap-involution", _check_statistic_swap),
-    ("hypermap-census", _check_hypermap_census),
-    ("transitive-probability", _check_transitive_probability),
-    ("path-round-trip", _check_path_round_trip),
-    ("labeling-counts", _check_labeling_counts),
-    ("path-polynomials", _check_path_polynomials),
-    ("joint-polynomial", _check_joint_polynomial),
-    ("map-counts", _check_map_counts),
-    ("map-round-trip", _check_map_round_trip),
-    ("map-functional-equation", _check_map_functional_equation),
+# (name, check, unit), in report order and each unit's run order; a unit
+# is the work a process claims at once, 0 the heaviest at the defaults, and
+# checks that share ctx state (census pair counts, tables cache) share one
+_CHECKS: tuple[tuple[str, Callable[[dict], Iterator[dict]], int], ...] = (
+    ("indecomposable-count", _check_indecomposable_count, 6),
+    ("stirling-triangle", _check_stirling_triangle, 6),
+    ("fundamental-transform", _check_fundamental_transform, 4),
+    ("interval-split-round-trip", _check_interval_split, 0),
+    ("statistic-swap-involution", _check_statistic_swap, 3),
+    ("hypermap-census", _check_hypermap_census, 2),
+    ("transitive-probability", _check_transitive_probability, 2),
+    ("path-round-trip", _check_path_round_trip, 1),
+    ("labeling-counts", _check_labeling_counts, 5),
+    ("path-polynomials", _check_path_polynomials, 6),
+    ("joint-polynomial", _check_joint_polynomial, 6),
+    ("map-counts", _check_map_counts, 8),
+    ("map-round-trip", _check_map_round_trip, 7),
+    ("map-functional-equation", _check_map_functional_equation, 9),
 )
 
-# the checks by index in units of work, heaviest first at the defaults;
-# checks that share ctx state (the census's pair counts, the tables cache)
-# share a unit, and run in _CHECKS order there
-_UNITS = tuple(tuple(i for i, (name, _) in enumerate(_CHECKS) if name in unit) for unit in (
-    {"interval-split-round-trip"}, {"path-round-trip"},
-    {"hypermap-census", "transitive-probability"}, {"statistic-swap-involution"},
-    {"fundamental-transform"}, {"labeling-counts"},
-    {"indecomposable-count", "stirling-triangle", "path-polynomials", "joint-polynomial"},
-    {"map-round-trip"}, {"map-counts"}, {"map-functional-equation"},
-))
+_UNITS = tuple(tuple(i for i, (*_, unit) in enumerate(_CHECKS) if unit == u)
+               for u in range(max(unit for *_, unit in _CHECKS) + 1))
 
 
 def _workers() -> int:
@@ -513,7 +508,8 @@ def _workers() -> int:
 
 def _run_units(ctx: dict) -> dict[int, dict | None]:
     # each check's first witness, by index: _workers() processes, this one
-    # too, claim units off one pipe, where a one-byte read is atomic
+    # too, claim units off one pipe, where a one-byte read is atomic; a worker
+    # that raises or dies reports nothing, and this one runs what none reported
     todo, fill = os.pipe()
     os.write(fill, bytes(range(len(_UNITS))))
     os.close(fill)
@@ -521,12 +517,15 @@ def _run_units(ctx: dict) -> dict[int, dict | None]:
     pin = workers > 1 and hasattr(os, "sched_setaffinity")
     cpus = sorted(os.sched_getaffinity(0)) if pin else []
 
+    def run(unit):
+        return {i: next(_CHECKS[i][1](ctx), None) for i in _UNITS[unit]}
+
     def claim(k):  # worker k, on a CPU of its own: Linux can leave a child on its parent's CPU
         if cpus:
             os.sched_setaffinity(0, {cpus[k % len(cpus)]})
         found = {}
         while unit := os.read(todo, 1):
-            found.update((i, next(_CHECKS[i][1](ctx), None)) for i in _UNITS[unit[0]])
+            found.update(run(unit[0]))
         return found
 
     reports = {}  # child pid -> the read end of its report pipe
@@ -535,23 +534,17 @@ def _run_units(ctx: dict) -> dict[int, dict | None]:
             r, w = os.pipe()
             if (pid := os.fork()) == 0:  # the child: one report, then an exit that flushes no stdio
                 try:
-                    os.write(w, b"m" + marshal.dumps(claim(k)))
-                except BaseException as exc:
-                    import pickle
-                    os.write(w, b"p" + pickle.dumps(exc))
+                    os.write(w, marshal.dumps(claim(k)))
                 finally:
                     os._exit(0)
             os.close(w)
             reports[pid] = open(r, "rb")
         found = claim(0)
-        for pid, pipe in reports.items():
-            report = pipe.read()
-            if not report:
-                raise RuntimeError(f"verify worker {pid} exited without a report")
-            if report[:1] == b"p":  # the exception the child raised
-                import pickle
-                raise pickle.loads(report[1:])
-            found.update(marshal.loads(report[1:]))
+        for pipe in reports.values():
+            if report := pipe.read():
+                found.update(marshal.loads(report))
+        for unit in [u for u, checks in enumerate(_UNITS) if checks[0] not in found]:
+            found.update(run(unit))
         return found
     finally:
         os.close(todo)
@@ -602,4 +595,4 @@ def verify_suite(
     }
     found = _run_units(ctx)
     return VerifyReport([CheckResult(name, "pass" if found[i] is None else "fail", found[i])
-                         for i, (name, _) in enumerate(_CHECKS)])
+                         for i, (name, *_) in enumerate(_CHECKS)])

@@ -1,7 +1,10 @@
 import math
 import os
+import select
+import signal
 import threading
 import time
+import traceback
 
 import pytest
 
@@ -427,23 +430,75 @@ def test_edited_checks_fail_alike_in_forked_workers(
     ]
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_exception_in_a_forked_unit_reaches_the_caller(monkeypatch, no_child_left, workers):
-    # c_n raises in the children only; the caller's first call waits, so
-    # the children claim the other units that read c_n
-    caller, waited = os.getpid(), []
+@pytest.fixture
+def signal_pipe():
+    """A pipe for a process to tell the others it got somewhere; both ends
+    are closed after the test."""
+    fds = os.pipe()
+    yield fds
+    for fd in fds:
+        os.close(fd)
 
-    def wrong_c_count(n):
+
+def _hold_first_claim(monkeypatch, signal_pipe, in_caller):
+    # the first read off verify's unit pipe waits, in the caller or else in
+    # each worker, until some process writes to the signal pipe (60 s at
+    # most), so the other processes claim every unit in the meantime
+    caller, held, read = os.getpid(), [], os.read
+
+    def held_read(fd, n):
+        if (os.getpid() == caller) == in_caller and not held:
+            held.append(select.select([signal_pipe[0]], [], [], 60))
+        return read(fd, n)
+
+    monkeypatch.setattr(os, "read", held_read)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_killed_worker_leaves_its_units_to_the_caller(
+    monkeypatch, no_child_left, signal_pipe, workers
+):
+    # c_n kills any process but the caller, as the OOM killer might, while
+    # the caller waits to claim: the killed worker reports nothing, and the
+    # caller runs its units for the one-worker report
+    monkeypatch.setattr(oracle, "_workers", lambda: 1)
+    serial = verify_suite(4, 3, 6)
+    caller = os.getpid()
+
+    def c_count_or_die(n):
         if os.getpid() != caller:
-            raise InternalMismatch("c_3: 4 != 3")
-        if not waited:
-            waited.append(time.sleep(0.2))
+            os.write(signal_pipe[1], b"k")
+            os.kill(os.getpid(), signal.SIGKILL)
         return c_count(n)
 
-    monkeypatch.setattr(oracle, "c_count", wrong_c_count)
+    monkeypatch.setattr(oracle, "c_count", c_count_or_die)
     monkeypatch.setattr(oracle, "_workers", lambda: workers)
-    with pytest.raises(InternalMismatch, match=r"^c_3: 4 != 3$"):
+    _hold_first_claim(monkeypatch, signal_pipe, in_caller=True)
+    report = verify_suite(4, 3, 6)
+    assert select.select([signal_pipe[0]], [], [], 0)[0]  # a worker was killed
+    assert report == serial and report.to_text() == serial.to_text()
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["own", "rerun"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_exception_in_a_forked_unit_reaches_the_caller(
+    monkeypatch, no_child_left, signal_pipe, workers, rerun
+):
+    # C_n(x), read by the stirling unit alone, raises wherever it runs.  The
+    # workers wait to claim until it has, so the caller meets it in a unit of
+    # its own; or, with rerun, the caller waits, a worker meets it and
+    # reports nothing, and the caller meets it again running what none did
+    def wrong_c_poly(n):
+        os.write(signal_pipe[1], b"r")
+        raise InternalMismatch("c_3: 4 != 3")
+
+    monkeypatch.setattr(oracle, "c_poly", wrong_c_poly)
+    monkeypatch.setattr(oracle, "_workers", lambda: workers)
+    _hold_first_claim(monkeypatch, signal_pipe, in_caller=rerun)
+    with pytest.raises(InternalMismatch, match=r"^c_3: 4 != 3$") as raised:
         verify_suite(4, 3, 6)
+    frames = [frame.name for frame in traceback.extract_tb(raised.tb)]
+    assert frames[-1] == "wrong_c_poly" and ("claim" in frames) != rerun
 
 
 def test_exception_in_the_caller_stops_the_workers(monkeypatch, no_child_left):
@@ -489,5 +544,7 @@ def test_units_cover_every_check_once_in_report_order():
     indices = [i for unit in oracle._UNITS for i in unit]
     assert sorted(indices) == list(range(len(oracle._CHECKS)))
     assert all(list(unit) == sorted(unit) for unit in oracle._UNITS)
+    assert all(oracle._UNITS)  # a skipped unit number would leave an empty unit
+    assert sorted({unit for *_, unit in oracle._CHECKS}) == list(range(len(oracle._UNITS)))
     names = [[oracle._CHECKS[i][0] for i in unit] for unit in oracle._UNITS]
     assert ["hypermap-census", "transitive-probability"] in names
