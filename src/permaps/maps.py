@@ -13,12 +13,12 @@ pair {j, 2m+2} removed and the values above j closed up.
 endpoint of the root vertex, off one canonical scan of the map, and
 puts the pair back.  The number of vertices of the image equals the
 number of left-to-right maxima of theta, so the vertex distribution
-over all rooted maps with m edges is the polynomial M'_{m+1}.
+over all rooted maps with m edges is the polynomial M'_{m+1}.  The
+counts import ``enumpoly`` when called: a bijection never compiles it.
 """
 
 from __future__ import annotations
 
-from .enumpoly import M_family, i_count
 from .errors import NotFpf, SizeTooSmall
 from .hypermap import (
     Hypermap,
@@ -107,6 +107,8 @@ def map_count(m: int) -> int:
     empty map)."""
     if m < 0:
         raise ValueError("need m >= 0")
+    from .enumpoly import i_count
+
     return i_count(m + 1)
 
 
@@ -117,6 +119,8 @@ def map_count_by_vertices(m: int, v: int) -> int:
         raise ValueError("need m >= 0")
     if v < 1:
         raise ValueError("need v >= 1")
+    from .enumpoly import M_family
+
     return M_family(m + 1)[1].coefficient(0, v)
 
 

@@ -34,6 +34,9 @@ block structure, so tests at large n reach both indecomposable and
 decomposable inputs: a uniform random permutation is almost always
 indecomposable.  ``random_pairing`` draws the indecomposable
 fixed-point-free involutions that ``psi_prime`` takes.
+``random_planar_hypermaps`` and ``random_planar_maps`` decode a uniform
+Dyck word (``random_dyck_word``) into a genus-0 hypermap or map, and
+relabel it by a random relabeling that fixes the root.
 """
 
 from __future__ import annotations
@@ -599,3 +602,101 @@ def random_pairing(rng: Random, n: int) -> Permutation:
         p = Permutation(tuple(images))
         if is_indecomposable(p):
             return p
+
+
+def root_fixing_relabel(rng: Random, n: int) -> Permutation:
+    """A uniform relabeling of 1..n that fixes the root n."""
+    images = list(range(1, n))
+    rng.shuffle(images)
+    return Permutation(tuple(images) + (n,))
+
+
+def _relabeled(rng: Random, sigma: list[int], alpha: list[int]) -> Hypermap:
+    phi = root_fixing_relabel(rng, len(sigma))
+    return Hypermap(*(conjugate(Permutation(tuple(p)), phi) for p in (sigma, alpha)))
+
+
+def random_dyck_word(rng: Random, n: int) -> str:
+    """A uniform Dyck word of length 2n.  Of the cyclic shifts of n a's
+    and n + 1 b's, exactly one starts a walk that stays at or above 0
+    until its last step (the cycle lemma): the one that starts right
+    after the first lowest point.  Drop its last b."""
+    steps = ["a"] * n + ["b"] * (n + 1)
+    rng.shuffle(steps)
+    heights = list(accumulate(1 if step == "a" else -1 for step in steps))
+    low = heights.index(min(heights)) + 1
+    return "".join(steps[low:] + steps[:low - 1])
+
+
+def _noncrossing_blocks(word: str) -> list[list[int]]:
+    """The non-crossing partition of 1..n that a Dyck word of length 2n
+    codes: a run of k a's before the i-th b opens a block of size k at
+    i, and each b puts i into the innermost open block."""
+    blocks: list[list[int]] = []
+    open_blocks: list[list[int]] = []  # innermost last
+    room: list[int] = []
+    run = i = 0
+    for step in word:
+        if step == "a":
+            run += 1
+            continue
+        i += 1
+        if run:
+            blocks.append([])
+            open_blocks.append(blocks[-1])
+            room.append(run)
+            run = 0
+        open_blocks[-1].append(i)
+        room[-1] -= 1
+        if not room[-1]:
+            open_blocks.pop()
+            room.pop()
+    return blocks
+
+
+def _long_cycle(n: int) -> list[int]:
+    return [*range(2, n + 1), 1]
+
+
+def random_planar_hypermaps(rng: Random, n: int) -> tuple[Hypermap, Hypermap]:
+    """Two genus-0 hypermaps on n darts from one uniform non-crossing
+    partition: alpha takes its blocks as decreasing cycles and sigma is
+    (1 2 ... n), one vertex; then the swapped pair, one vertex per block.
+    With faces the cycles of ``compose(sigma, alpha)``, increasing
+    cycles would not give genus 0."""
+    alpha = [0] * n
+    for block in _noncrossing_blocks(random_dyck_word(rng, n)):
+        for d, e in zip(block, [block[-1], *block]):
+            alpha[d - 1] = e
+    sigma = _long_cycle(n)
+    return _relabeled(rng, sigma, alpha), _relabeled(rng, alpha, sigma)
+
+
+def _swap_partners(rng: Random, alpha: list[int]) -> None:
+    """Pair the darts of two pairs of alpha the other way round, in place."""
+    a = rng.randrange(1, len(alpha) + 1)
+    b = alpha[a - 1]
+    c = rng.choice([e for e in range(1, len(alpha) + 1) if e not in (a, b)])
+    d = alpha[c - 1]
+    alpha[a - 1], alpha[c - 1], alpha[b - 1], alpha[d - 1] = c, a, d, b
+
+
+def random_planar_maps(rng: Random, m: int, swaps: int = 0) -> tuple[Hypermap, Hypermap]:
+    """Two maps on 2m darts from one uniform non-crossing pairing alpha
+    (each a of a Dyck word paired with the b that matches it): sigma =
+    (1 2 ... 2m), one vertex, after ``swaps`` partner swaps in alpha,
+    each of which moves the genus by at most one from 0; and the plane
+    tree sigma = (1 2 ... 2m) alpha, with m + 1 vertices."""
+    alpha = [0] * (2 * m)
+    opened = []
+    for d, step in enumerate(random_dyck_word(rng, m), 1):
+        if step == "a":
+            opened.append(d)
+        else:
+            e = opened.pop()
+            alpha[d - 1], alpha[e - 1] = e, d
+    c = _long_cycle(2 * m)
+    tree = _relabeled(rng, [c[e - 1] for e in alpha], alpha)
+    for _ in range(swaps if m > 1 else 0):
+        _swap_partners(rng, alpha)
+    return _relabeled(rng, c, alpha), tree

@@ -1,14 +1,15 @@
 """The slot bijection, the canonical scan, the image-indexed
 permutation primitives, the fundamental transform and the hypermap and
 map bijections at sizes far beyond the exhaustive sweeps: property
-tests against the reference forms in ``reference.py``, and a round trip
-at n = 10^5."""
+tests against the reference forms in ``reference.py``, round trips on
+planar hypermaps and maps of genus at most 3, and a round trip at
+n = 10^5."""
 
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permaps.dyck import delta, delta_inverse
@@ -21,6 +22,7 @@ from permaps.hypermap import (
     phi_bijection,
     psi,
     psi_inverse,
+    rooted_isomorphic,
     satisfies_lemma1,
 )
 from permaps.maps import is_fpf_involution, psi_prime, psi_prime_inverse
@@ -28,6 +30,7 @@ from permaps.perm import (
     Permutation,
     _cycle_count,
     blocks,
+    compose,
     conjugate,
     cycles,
     fundamental_transform,
@@ -41,6 +44,8 @@ from reference import (
     random_indecomposable,
     random_pairing,
     random_perm,
+    random_planar_hypermaps,
+    random_planar_maps,
     reference_canonical_rooted_form,
     reference_conjugate,
     reference_cycles,
@@ -53,6 +58,7 @@ from reference import (
     reference_psi_prime,
     reference_psi_prime_inverse,
     reference_satisfies_lemma1,
+    root_fixing_relabel,
 )
 
 # derandomized, so every run draws the same examples
@@ -122,12 +128,6 @@ def test_delta_round_trip_over_ten_runs():
     n = 9 * 1024 + 5
     for p in run_edge_inputs(random.Random(n), n):
         assert delta_inverse(delta(p)) == p
-
-
-def root_fixing_relabel(rng, n):
-    images = list(range(1, n))
-    rng.shuffle(images)
-    return Permutation(tuple(images) + (n,))
 
 
 def random_hypermap(rng, n):
@@ -407,3 +407,42 @@ def test_psi_prime_rejects_near_valid_input(m, rng):
     rooted = psi_prime(theta)
     with pytest.raises(NotFpf):
         psi_prime_inverse(Hypermap(rooted.sigma, merge_two_pairs(rng, rooted.alpha.images)))
+
+
+def genus(h):
+    """The genus of a transitive pair, from v + e + f = n + 2 - 2g with
+    the faces the cycles of sigma after alpha."""
+    faces = compose(h.sigma, h.alpha)
+    twice = h.n + 2 - sum(_cycle_count(p.images) for p in (h.sigma, h.alpha, faces))
+    assert twice % 2 == 0
+    return twice // 2
+
+
+@bounded
+@given(st.integers(1, 2000), seeds)
+@example(5000, random.Random(5000))
+def test_planar_hypermaps_at_large_n(n, rng):
+    for h in random_planar_hypermaps(rng, n):
+        assert genus(h) == 0
+        theta = psi_inverse(h)
+        assert psi(theta) == canonical_rooted_form(h)[0]
+        assert psi_inverse(psi(theta)) == theta
+        assert delta_inverse(delta(theta)) == theta
+        assert phi_bijection(phi_bijection(theta)) == theta
+        assert _cycle_count(theta.images) == _cycle_count(h.alpha.images)  # edges are cycles
+        assert len(lr_maxima(theta)) == _cycle_count(h.sigma.images)  # vertices are maxima
+
+
+@bounded
+@given(st.integers(1, 2000), st.integers(0, 3), seeds)
+def test_maps_of_low_genus_at_large_n(m, swaps, rng):
+    # the one-vertex map takes the partner swaps, each of which moves the
+    # genus by at most one; the plane tree keeps genus 0
+    one_vertex, tree = random_planar_maps(rng, m, swaps)
+    assert genus(one_vertex) <= swaps and genus(tree) == 0
+    for h in (one_vertex, tree):
+        theta = psi_prime_inverse(h)
+        rooted = psi_prime(theta)
+        assert rooted_isomorphic(rooted, h)
+        assert psi_prime_inverse(rooted) == theta
+        assert len(lr_maxima(theta)) == _cycle_count(h.sigma.images)  # vertices are maxima

@@ -113,6 +113,12 @@ def test_a_name_loads_only_its_own_submodule(child_env):
     assert done.stdout == (
         "False False ['permaps']\n['permaps', 'permaps.enumpoly', 'permaps.errors']\n"
     )
+    # a bijection's submodule loads its layers below, and no counting code
+    done = _python(child_env, "-c", code.replace("L_family", "psi_prime"))
+    assert done.stdout == (
+        "False False ['permaps']\n"
+        "['permaps', 'permaps.errors', 'permaps.hypermap', 'permaps.maps', 'permaps.perm']\n"
+    )
 
 
 def test_poly_command_loads_only_what_it_runs(child_env):
@@ -132,6 +138,9 @@ def test_bij_and_verify_load_their_modules(child_env):
     done, loaded = _imported(child_env, "bij", "delta", "--perm", "3,7,5,8,9,2,6,4,1")
     assert (done.returncode, done.stdout) == (0, "a a a a b0 a a a b0 b1 a a b0 b4 b2 b1 b1 b1\n")
     assert loaded & _COMPUTING == {"perm", "dyck"}
+    done, loaded = _imported(child_env, "bij", "psi-prime", "--perm", "3,5,1,6,2,4")
+    assert (done.returncode, done.stdout) == (0, "sigma=(1)(2,3)(4);alpha=(1,3)(2,4)\n")
+    assert loaded & _COMPUTING == {"perm", "hypermap", "maps"}
     argv = ["verify", "--max-n", "3", "--pair-max-n", "3", "--fpf-max-size", "4"]
     done, loaded = _imported(child_env, *argv, "--inject-fault", "skip-canonicalization")
     assert done.returncode == 1 and "FAIL" in done.stdout
