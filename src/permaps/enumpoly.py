@@ -136,12 +136,6 @@ class BivariatePoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def degree_x(self) -> int:
-        return max((px for px, _ in self._c), default=0)
-
-    def degree_y(self) -> int:
-        return max((py for _, py in self._c), default=0)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -297,7 +291,7 @@ class _Packing:
 
 class SeriesInZ:
     """Power series in z, truncated at a fixed order, with BivariatePoly
-    coefficients.  Products truncate; all arithmetic stays exact."""
+    coefficients: an immutable record of coefficients 0..order."""
 
     __slots__ = ("order", "_coeffs")
 
@@ -311,14 +305,6 @@ class SeriesInZ:
 
     def __setattr__(self, name, value):
         raise AttributeError("SeriesInZ is immutable")
-
-    @classmethod
-    def zero(cls, order: int) -> "SeriesInZ":
-        return cls([], order)
-
-    @classmethod
-    def constant(cls, poly: BivariatePoly, order: int) -> "SeriesInZ":
-        return cls([poly], order)
 
     def coefficient(self, m: int) -> BivariatePoly:
         if not 0 <= m <= self.order:
@@ -339,42 +325,6 @@ class SeriesInZ:
     def __hash__(self) -> int:
         return hash((self.order, self._coeffs))
 
-    def __add__(self, other: "SeriesInZ") -> "SeriesInZ":
-        if not isinstance(other, SeriesInZ):
-            return NotImplemented
-        self._check(other)
-        return SeriesInZ(
-            [a + b for a, b in zip(self._coeffs, other._coeffs)], self.order
-        )
-
-    def __sub__(self, other: "SeriesInZ") -> "SeriesInZ":
-        if not isinstance(other, SeriesInZ):
-            return NotImplemented
-        return self + other.map_coeffs(BivariatePoly.__neg__)
-
-    def __mul__(self, other: "SeriesInZ") -> "SeriesInZ":
-        if not isinstance(other, SeriesInZ):
-            return NotImplemented
-        self._check(other)
-        out = [BivariatePoly.zero() for _ in range(self.order + 1)]
-        for i, a in enumerate(self._coeffs):
-            if a.is_zero:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other._coeffs[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return SeriesInZ(out, self.order)
-
-    def shift_z(self, k: int) -> "SeriesInZ":
-        """Multiply by z^k, truncating at the fixed order."""
-        if k < 0:
-            raise ValueError(f"need k >= 0, got {k}")
-        return SeriesInZ([BivariatePoly.zero()] * k + list(self._coeffs), self.order)
-
-    def map_coeffs(self, f: Callable[[BivariatePoly], BivariatePoly]) -> "SeriesInZ":
-        return SeriesInZ([f(c) for c in self._coeffs], self.order)
-
     def inverse_one_minus(self) -> "SeriesInZ":
         """1 / (1 - V) for a series V with zero constant term."""
         if not self._coeffs[0].is_zero:
@@ -388,10 +338,6 @@ class SeriesInZ:
                     acc = acc + self._coeffs[p] * out[m - p]
             out.append(acc)
         return SeriesInZ(out, self.order)
-
-    def _check(self, other: "SeriesInZ") -> None:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
 
 
 # --- append-only tables -------------------------------------------------------------
@@ -736,13 +682,20 @@ def arques_beraud_check(order: int) -> SeriesInZ:
     """Residual of the rooted-map functional equation, exact through
     z^order.
 
-    U(z, y) = sum_m z^m M'_{m+1}(y) counts rooted maps with m edges by
-    vertices; the returned series is U - y - z*U(z,y)*U(z,y+1), which is
+    U(z, y) = sum_m z^m U_m(y), with U_m = M'_{m+1}, counts rooted maps
+    with m edges by vertices; the returned series is U - y -
+    z*U(z,y)*U(z,y+1), whose coefficient m is
+
+        U_m - [m = 0] y - sum_{i<m} U_i(y) U_{m-1-i}(y+1),
+
     identically zero when the M' family is consistent.
     """
     if order < 0:
         raise ValueError("need order >= 0")
-    U = SeriesInZ([M_family(m + 1)[1] for m in range(order + 1)], order)
-    shifted = U.map_coeffs(lambda P: P.subs_y_plus(1))
-    residual = U - SeriesInZ.constant(BivariatePoly.y(), order) - (U * shifted).shift_z(1)
-    return residual
+    U = [M_family(m + 1)[1] for m in range(order + 1)]
+    shifted = [P.subs_y_plus(1) for P in U[:order]]
+    residual = [U[0] - BivariatePoly.y()]
+    for m in range(1, order + 1):
+        product = sum((U[i] * shifted[m - 1 - i] for i in range(m)), BivariatePoly.zero())
+        residual.append(U[m] - product)
+    return SeriesInZ(residual, order)

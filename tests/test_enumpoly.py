@@ -108,25 +108,28 @@ def test_poly_json_reader_takes_only_what_the_writer_writes(obj):
         BivariatePoly.from_json_obj(obj)
 
 
-def test_series_arithmetic():
-    one = BivariatePoly.constant(1)
-    z = SeriesInZ([BivariatePoly.zero(), one], 4)
+def test_series_record():
+    zero, one, y = BivariatePoly.zero(), BivariatePoly.constant(1), BivariatePoly.y()
+    with pytest.raises(ValueError):
+        SeriesInZ([], -1)
+    # coefficients are padded with zeros, or truncated, to order + 1
+    padded, truncated = SeriesInZ([one], 2), SeriesInZ([one, y, one, y], 1)
+    assert [padded.coefficient(m) for m in range(3)] == [one, zero, zero]
+    assert (truncated.order, truncated.coefficient(1)) == (1, y)
+    # an index outside the series raises ValueError, not IndexError or a wrap
+    for m in (-1, 3):
+        with pytest.raises(ValueError):
+            padded.coefficient(m)
+    z = SeriesInZ([zero, one], 4)
     geom = z.inverse_one_minus()
-    assert all(geom.coefficient(m) == one for m in range(5))
-    assert (geom - geom).is_zero
-    assert z.shift_z(1).coefficient(2) == one
+    assert geom.order == 4 and all(geom.coefficient(m) == one for m in range(5))
     with pytest.raises(ValueError):
         SeriesInZ([one], 3).inverse_one_minus()
-    with pytest.raises(ValueError):
-        z + SeriesInZ([], 2)
-    # an index outside the series raises ValueError, not IndexError or a wrap
-    for bad in (lambda: z.coefficient(-1), lambda: z.coefficient(5), lambda: z.shift_z(-1)):
-        with pytest.raises(ValueError):
-            bad()
-    # arithmetic takes series only: an int or a bool raises TypeError
-    for bad in (lambda: z + 1, lambda: z - 1, lambda: z * 2, lambda: z * True):
-        with pytest.raises(TypeError):
-            bad()
+    with pytest.raises(AttributeError):
+        geom.order = 5
+    assert not geom.is_zero and SeriesInZ([zero], 3).is_zero
+    assert geom == SeriesInZ([one] * 5, 4) and hash(geom) == hash(SeriesInZ([one] * 5, 4))
+    assert geom != SeriesInZ([one] * 5, 5) and geom != SeriesInZ([one] * 4, 4)
 
 
 # --- scalar sequences -----------------------------------------------------------
@@ -204,7 +207,7 @@ def test_c_poly():
     assert c_poly(4).to_string() == "x^3 + 6*x^2 + 6*x"
     for n in range(2, 9):
         p = c_poly(n)
-        assert p.degree_y() == 0
+        assert all(py == 0 for _, py, _ in p.terms())
         assert [p.coefficient(k, 0) for k in range(1, n)] == [
             c_count_by_cycles(n, k) for k in range(1, n)
         ]
@@ -402,7 +405,7 @@ def test_M_family_specializations():
         M, Mp = M_family(m)
         assert M.evaluate(1, 1) == double_factorial_odd(m)
         assert Mp.evaluate(1, 1) == i_count(m)
-        assert M.degree_x() == 0 and Mp.degree_x() == 0
+        assert all(px == 0 for px, _, _ in M.terms() + Mp.terms())
 
 
 

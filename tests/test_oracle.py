@@ -8,12 +8,14 @@ import traceback
 
 import pytest
 
-from permaps import oracle
+from permaps import enumpoly, oracle
 from permaps.dyck import count_labelings, delta_inverse, is_primitive
 from permaps.enumpoly import (
     BivariatePoly,
     L_family,
+    M_family,
     SeriesInZ,
+    arques_beraud_check,
     c_count,
     c_poly,
     i_count,
@@ -428,6 +430,29 @@ def test_edited_checks_fail_alike_in_forked_workers(
     assert [(r.check, r.witness) for r in report.results if r.status == "fail"] == [
         (check, witness)
     ]
+
+
+def test_map_functional_equation_residual_of_a_wrong_M_prime(
+    monkeypatch, no_child_left, fresh_tables
+):
+    # one map with 4 edges moved from 3 vertices to 4: M'_5 off by D = y^4 - y^3,
+    # so U_4 = M'_5 is off by D and the z^5 term y*U_4(y+1) + U_4*U_0(y+1) by
+    # y*D(y+1) + D*(y+1), with U_0 = y, while the z^0..z^3 terms stay zero
+    M_family(7)
+    M, Mp = enumpoly._M[5]  # fresh_tables' copy, restored after the test
+    D = BivariatePoly.monomial(0, 4) - BivariatePoly.monomial(0, 3)
+    enumpoly._M[5] = (M, Mp + D)
+    residual = arques_beraud_check(6)
+    assert all(residual.coefficient(m).is_zero for m in range(4))
+    assert residual.coefficient(4) == D
+    y_plus_1 = BivariatePoly.y() + BivariatePoly.constant(1)
+    assert residual.coefficient(5) == -(BivariatePoly.y() * D.subs_y_plus(1) + D * y_plus_1)
+    # the top coefficient is computed, not padded
+    assert arques_beraud_check(5) == SeriesInZ([residual.coefficient(m) for m in range(6)], 5)
+    for workers in (1, 2):
+        monkeypatch.setattr(oracle, "_workers", lambda: workers)
+        failed = {r.check: r.witness for r in verify_suite().results if r.status == "fail"}
+        assert failed["map-functional-equation"] == {"order": 4, "coefficient": "y^4 - y^3"}
 
 
 @pytest.fixture
