@@ -20,12 +20,6 @@ from .errors import LimitExceeded, PermapsError
 __all__ = ["dispatch", "main"]
 
 _SIZE_LIMIT = 64  # exact arithmetic stays fast; larger requests are refused
-_NO_CSV = ("plain", "json")
-
-
-def _check_size(name: str, value: int) -> None:
-    if value > _SIZE_LIMIT:
-        raise LimitExceeded(f"{name} = {value} exceeds the supported bound {_SIZE_LIMIT}")
 
 
 def _emit(args, plain, obj, rows=None) -> int:
@@ -86,12 +80,10 @@ verify_suite = _lazy("oracle.verify_suite")
 
 
 def _cmd_count_indecomposable(args) -> int:
-    _check_size("n", args.n)
     return _count(args, "indecomposable", c_count(args.n), {"n": args.n})
 
 
 def _cmd_count_hypermaps(args) -> int:
-    _check_size("n", args.n)
     if args.n < 1:
         raise ValueError("need n >= 1")
     value = c_count(args.n + 1)
@@ -103,12 +95,10 @@ def _cmd_count_hypermaps(args) -> int:
 
 
 def _cmd_count_maps(args) -> int:
-    _check_size("m", args.m)
     return _count(args, "maps", map_count(args.m), {"m": args.m})
 
 
 def _cmd_count_stirling(args) -> int:
-    _check_size("n", args.n)
     value = c_count_by_cycles(args.n, args.k)
     return _count(args, "stirling-indec", value, {"n": args.n, "k": args.k})
 
@@ -117,7 +107,6 @@ def _cmd_count_stirling(args) -> int:
 
 
 def _cmd_table_stirling(args) -> int:
-    _check_size("max-n", args.max_n)
     if args.max_n < 2:
         raise ValueError("need max-n >= 2")
     rows = [
@@ -134,7 +123,6 @@ def _cmd_table_stirling(args) -> int:
 
 
 def _cmd_table_joint(args) -> int:
-    _check_size("max-n", args.max_n)
     if args.max_n < 1:
         raise ValueError("need max-n >= 1")
     joint_perm_poly(args.max_n)  # one walk to max-n yields every smaller n too
@@ -205,10 +193,8 @@ def _cmd_bij(args) -> int:
 
 def _cmd_poly(args) -> int:
     if args.which in ("M", "Mprime"):
-        _check_size("m", args.m)
         poly, params = M_family(args.m)[1 if args.which == "Mprime" else 0], {"m": args.m}
     else:
-        _check_size("n", args.n)
         params = {"n": args.n}
         if args.which in ("L", "Lprime"):
             poly = L_family(args.n)[1 if args.which == "Lprime" else 0]
@@ -226,7 +212,6 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_prob_transitive(args) -> int:
-    _check_size("n", args.n)
     value = transitive_probability(args.n)
     return _emit(
         args,
@@ -244,9 +229,6 @@ def _cmd_verify(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-_SIZE_ARG = {"type": int, "required": True}  # a required --n, --m, --k or --max-n
-
-
 class _Faults:
     """The choices of --inject-fault: oracle.FAULTS, imported only when
     argparse checks a value or prints the verify usage."""
@@ -257,18 +239,49 @@ class _Faults:
         return iter(FAULTS)  # ``in`` iterates too
 
 
-def _command(sub, name: str, handler, options: dict, formats=("plain", "json", "csv"), **kwargs):
-    """Add subcommand ``name`` with ``--<option>`` per entry of ``options``
-    (its add_argument keywords), then ``--format``; ``kwargs`` (a help
-    line) go to ``add_parser``."""
-    p = sub.add_parser(name, **kwargs)
-    for option, spec in options.items():
-        # add_argument reads choices at once; set afterwards, they are read
-        # only when a value is checked or the usage is printed (see _Faults)
-        action = p.add_argument(f"--{option}", **{k: v for k, v in spec.items() if k != "choices"})
-        action.choices = spec.get("choices")
-    p.add_argument("--format", choices=formats, default="plain")
-    p.set_defaults(handler=handler)
+_SIZE = {"type": int, "required": True}  # a required --k
+_BOUNDED = {**_SIZE, "bounded": True}  # a required --n, --m or --max-n: dispatch caps it
+_FORMATS = ("plain", "json", "csv")
+_NO_CSV = ("plain", "json")
+
+# group: (dest of its subcommand, help line), in --help order
+_GROUPS = {
+    "count": ("what", "single exact counts"),
+    "table": ("what", "whole tables of counts"),
+    "bij": ("what", "apply a bijection to one object"),
+    "poly": ("which", "print an exact polynomial"),
+    "prob": ("what", "exact probabilities"),
+}
+
+# (command words, handler, add_argument keywords per --option, --format
+# choices, help line); the bij and poly subcommands have no help line
+_COMMANDS = [
+    (("count", "indecomposable"), _cmd_count_indecomposable, {"n": _BOUNDED}, _FORMATS,
+     "indecomposable permutations of S_n"),
+    (("count", "hypermaps"), _cmd_count_hypermaps, {
+        "n": _BOUNDED,
+        "labeled": {"action": "store_true", "help": "count labeled (transitive pairs) instead"},
+    }, _FORMATS, "rooted hypermaps on n darts"),
+    (("count", "maps"), _cmd_count_maps, {"m": _BOUNDED}, _FORMATS, "rooted maps with m edges"),
+    (("count", "stirling-indec"), _cmd_count_stirling, {"n": _BOUNDED, "k": _SIZE}, _FORMATS,
+     "indecomposable permutations of S_n with k cycles"),
+    (("table", "stirling-indec"), _cmd_table_stirling, {"max-n": _BOUNDED}, _FORMATS,
+     "triangle rows 2..max-n"),
+    (("table", "joint"), _cmd_table_joint, {"max-n": _BOUNDED}, _FORMATS,
+     "joint cycle/maxima polynomials 1..max-n"),
+    *((("bij", name), _cmd_bij, dict.fromkeys(inputs, {"required": True}), _NO_CSV, None)
+      for name, (inputs, _, _) in _BIJECTIONS.items()),
+    *((("poly", name), _cmd_poly, {"m" if name[0] == "M" else "n": _BOUNDED}, _FORMATS, None)
+      for name in ("A", "C", "L", "Lprime", "M", "Mprime")),
+    (("prob", "transitive"), _cmd_prob_transitive, {"n": _BOUNDED}, _NO_CSV,
+     "P(random pair on n darts is transitive)"),
+    (("verify",), _cmd_verify, {
+        "max-n": {"type": int, "default": 7},
+        "pair-max-n": {"type": int, "default": 5},
+        "fpf-max-size": {"type": int, "default": 10},
+        "inject-fault": {"choices": _Faults(), "default": None},
+    }, _NO_CSV, "run the exhaustive cross-check suite"),
+]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -281,62 +294,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}", help=argparse.SUPPRESS
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    count = sub.add_parser("count", help="single exact counts")
-    count_sub = count.add_subparsers(dest="what", required=True)
-    _command(
-        count_sub, "indecomposable", _cmd_count_indecomposable, {"n": _SIZE_ARG},
-        help="indecomposable permutations of S_n",
-    )
-    labeled = {"action": "store_true", "help": "count labeled (transitive pairs) instead"}
-    _command(
-        count_sub, "hypermaps", _cmd_count_hypermaps, {"n": _SIZE_ARG, "labeled": labeled},
-        help="rooted hypermaps on n darts",
-    )
-    _command(count_sub, "maps", _cmd_count_maps, {"m": _SIZE_ARG}, help="rooted maps with m edges")
-    _command(
-        count_sub, "stirling-indec", _cmd_count_stirling, {"n": _SIZE_ARG, "k": _SIZE_ARG},
-        help="indecomposable permutations of S_n with k cycles",
-    )
-
-    table = sub.add_parser("table", help="whole tables of counts")
-    table_sub = table.add_subparsers(dest="what", required=True)
-    _command(
-        table_sub, "stirling-indec", _cmd_table_stirling, {"max-n": _SIZE_ARG},
-        help="triangle rows 2..max-n",
-    )
-    _command(
-        table_sub, "joint", _cmd_table_joint, {"max-n": _SIZE_ARG},
-        help="joint cycle/maxima polynomials 1..max-n",
-    )
-
-    bij = sub.add_parser("bij", help="apply a bijection to one object")
-    bij_sub = bij.add_subparsers(dest="what", required=True)
-    for name, (inputs, _, _) in _BIJECTIONS.items():
-        _command(bij_sub, name, _cmd_bij, dict.fromkeys(inputs, {"required": True}), _NO_CSV)
-
-    poly = sub.add_parser("poly", help="print an exact polynomial")
-    poly_sub = poly.add_subparsers(dest="which", required=True)
-    for name in ("A", "C", "L", "Lprime"):
-        _command(poly_sub, name, _cmd_poly, {"n": _SIZE_ARG})
-    for name in ("M", "Mprime"):
-        _command(poly_sub, name, _cmd_poly, {"m": _SIZE_ARG})
-
-    prob = sub.add_parser("prob", help="exact probabilities")
-    prob_sub = prob.add_subparsers(dest="what", required=True)
-    _command(
-        prob_sub, "transitive", _cmd_prob_transitive, {"n": _SIZE_ARG}, _NO_CSV,
-        help="P(random pair on n darts is transitive)",
-    )
-
-    verify = {
-        "max-n": {"type": int, "default": 7},
-        "pair-max-n": {"type": int, "default": 5},
-        "fpf-max-size": {"type": int, "default": 10},
-        "inject-fault": {"choices": _Faults(), "default": None},
-    }
-    _command(sub, "verify", _cmd_verify, verify, _NO_CSV, help="run the exhaustive cross-check suite")
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, handler, options, formats, help_line in _COMMANDS:
+        group = words[:-1]
+        if group not in subparsers:  # the group's first row adds the group
+            dest, group_help = _GROUPS[words[0]]
+            group_parser = subparsers[()].add_parser(words[0], help=group_help)
+            subparsers[group] = group_parser.add_subparsers(dest=dest, required=True)
+        # a help keyword, even None, would list the subcommand in its group's help
+        p = subparsers[group].add_parser(words[-1], **({"help": help_line} if help_line else {}))
+        for option, spec in options.items():
+            # add_argument reads choices at once; set afterwards, they are read
+            # only when a value is checked or the usage is printed (see _Faults)
+            keywords = {k: v for k, v in spec.items() if k not in ("choices", "bounded")}
+            p.add_argument(f"--{option}", **keywords).choices = spec.get("choices")
+        p.add_argument("--format", choices=formats, default="plain")
+        p.set_defaults(handler=handler, bounded=[o for o in options if "bounded" in options[o]])
     return parser
 
 
@@ -347,6 +320,10 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse exits 0 after help, 2 on a usage error
         return exc.code
     try:
+        for option in args.bounded:  # before the handler's own checks
+            value = getattr(args, option.replace("-", "_"))
+            if value > _SIZE_LIMIT:
+                raise LimitExceeded(f"{option} = {value} exceeds the supported bound {_SIZE_LIMIT}")
         return args.handler(args)
     except (PermapsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,6 @@ import math
 import os
 import threading
 from collections import Counter
-from fractions import Fraction
 from typing import Callable, Iterator
 
 from .dyck import (
@@ -347,6 +346,8 @@ def _check_hypermap_census(ctx: dict) -> Iterator[dict]:
 
 
 def _check_transitive_probability(ctx: dict) -> Iterator[dict]:
+    from fractions import Fraction  # imported here: only this check's unit needs it
+
     for n in range(1, ctx["pair_max_n"] + 1):
         # the census's count, unless it stopped before finishing size n
         pairs = ctx["labeled_pairs"].get(n)

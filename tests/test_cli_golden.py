@@ -2,8 +2,9 @@
 
 Every subcommand runs in every format it accepts, together with the
 README's ``$ permaps ...`` examples, domain errors (exit 1), usage errors
-(exit 2) and ``--help`` texts.  Argv, exit code, stdout and stderr of
-each case are compared with ``tests/data/cli_golden.json``.  The cases
+(exit 2) and the ``--help`` text of every group and subcommand.  Argv,
+exit code, stdout and stderr of each case are compared with
+``tests/data/cli_golden.json``.  The cases
 run in-process through ``dispatch``; ``COLUMNS`` is pinned because
 argparse wraps usage text to the terminal width.  The stdout of the
 cases in ``DIGESTED`` (up to 5 MB of polynomial text) is stored as its
@@ -21,7 +22,7 @@ import json
 import os
 from pathlib import Path
 
-from permaps.cli import dispatch
+from permaps.cli import _COMMANDS, dispatch
 
 DATA = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
@@ -199,14 +200,27 @@ CASES = [
     ["count", "--help"],
     ["count", "indecomposable", "--help"],
     ["count", "hypermaps", "--help"],
+    ["count", "maps", "--help"],
     ["count", "stirling-indec", "-h"],
     ["table", "--help"],
+    ["table", "stirling-indec", "--help"],
     ["table", "joint", "--help"],
     ["bij", "--help"],
+    ["bij", "omr", "--help"],
     ["bij", "omr-inv", "--help"],
+    ["bij", "fft", "--help"],
+    ["bij", "fft-inv", "--help"],
+    ["bij", "delta", "--help"],
     ["bij", "delta-inv", "--help"],
+    ["bij", "phi", "--help"],
+    ["bij", "psi-prime", "--help"],
     ["poly", "--help"],
+    ["poly", "A", "--help"],
+    ["poly", "C", "--help"],
+    ["poly", "L", "--help"],
+    ["poly", "Lprime", "--help"],
     ["poly", "M", "--help"],
+    ["poly", "Mprime", "--help"],
     ["prob", "--help"],
     ["prob", "transitive", "--help"],
     ["verify", "--help"],
@@ -231,6 +245,14 @@ def test_cli_golden(monkeypatch):
     assert [case["argv"] for case in golden] == CASES
     for case in golden:
         assert run_case(case["argv"]) == case
+
+
+def test_every_command_and_group_has_a_help_case():
+    # so a new subcommand cannot land with its help and usage text unpinned
+    helped = {tuple(argv[:-1]) for argv in CASES if argv[-1:] in (["--help"], ["-h"])}
+    commands = {words for words, *_ in _COMMANDS}
+    groups = {words[:-1] for words in commands}  # () is the top level
+    assert (commands | groups) - helped == set()
 
 
 def test_version(monkeypatch):
